@@ -190,6 +190,7 @@ def cmd_sweep(args):
         per_cutoff[str(n)] = {
             "expectation": record.expectation[n].tolist(),
             "ground_energies": record.ground_energies[n].tolist(),
+            "parity_gap": record.parity_gap[n],
         }
     payload = {
         "schema_version": io_utils.SWEEP_SCHEMA_VERSION,
@@ -236,6 +237,8 @@ def load_sweep(path):
     for key, block in doc["per_cutoff"].items():
         record.expectation[int(key)] = np.array(block["expectation"])
         record.ground_energies[int(key)] = np.array(block["ground_energies"])
+        if "parity_gap" in block:  # absent from files written before it existed
+            record.parity_gap[int(key)] = block["parity_gap"]
     return record
 
 
@@ -346,11 +349,12 @@ def cmd_bound(args):
 
 def cmd_measure(args):
     u = parse_bloch(args.u)
-    _, state = ground_state(operators.gkp_operator(u, args.cutoff))
+    op = operators.gkp_operator(u, args.cutoff)
+    _, state = ground_state(op)
     estimate = homodyne.estimate_witness(
         state, u, count_per_quadrature=args.counts, seed=args.seed
     )
-    exact = expectation(operators.gkp_operator(u, args.cutoff), state)
+    exact = expectation(op, state)
     out = _ensure_out(args.out)
     config = {
         "command": "measure",

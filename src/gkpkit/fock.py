@@ -114,10 +114,11 @@ def displacement_matrix(alpha, cutoff):
     """Exact Fock-basis matrix of the displacement operator D(alpha).
 
     Uses <m|D(alpha)|n> = sqrt(n!/m!) alpha^(m-n) e^(-|alpha|^2/2)
-    L_n^(m-n)(|alpha|^2) for m >= n.  Each diagonal is generated by a
-    three-term Laguerre recurrence carried out directly on the scaled
-    (bounded-by-one) matrix elements, so there is no overflow even for
-    cutoffs of several hundred.
+    L_n^(m-n)(|alpha|^2) for m >= n.  Each diagonal k = m - n is generated
+    by a three-term Laguerre recurrence in n carried out directly on the
+    scaled (bounded-by-one) matrix elements, so there is no overflow even
+    for cutoffs of several hundred; one step of the recurrence advances all
+    diagonals at once.
     """
     if cutoff < 1:
         raise InvalidArgumentError(f"cutoff must be >= 1, got {cutoff}")
@@ -127,27 +128,29 @@ def displacement_matrix(alpha, cutoff):
     mod2 = abs(alpha) ** 2
     log_mod = np.log(abs(alpha))
     phase = alpha / abs(alpha)
-    out = np.zeros((cutoff, cutoff), dtype=complex)
-    for k in range(cutoff):
-        nmax = cutoff - k
-        # scaled[n] = sqrt(n!/(n+k)!) |alpha|^k e^(-|alpha|^2/2) L_n^(k)(|alpha|^2)
-        scaled = np.empty(nmax)
-        scaled[0] = np.exp(k * log_mod - 0.5 * mod2 - 0.5 * gammaln(k + 1))
-        if nmax > 1:
-            scaled[1] = (k + 1 - mod2) * scaled[0] / np.sqrt(k + 1)
-        for n in range(1, nmax - 1):
-            c_up = np.sqrt((n + 1) / (n + 1 + k))
-            c_dn = np.sqrt((n + 1) * n / ((n + 1 + k) * (n + k)))
-            scaled[n + 1] = (
-                (2 * n + k + 1 - mod2) * c_up * scaled[n]
-                - (n + k) * c_dn * scaled[n - 1]
-            ) / (n + 1)
-        rows = np.arange(nmax) + k
-        cols = np.arange(nmax)
-        out[rows, cols] = phase**k * scaled
-        if k > 0:
-            # upper triangle from D(alpha)^dag = D(-alpha)
-            out[cols, rows] = (-phase.conjugate()) ** k * scaled
+    k = np.arange(cutoff)
+    # scaled[n, k] = sqrt(n!/(n+k)!) |alpha|^k e^(-|alpha|^2/2) L_n^(k)(|alpha|^2),
+    # a bounded element of the untruncated matrix; only n + k < cutoff is kept
+    scaled = np.empty((cutoff, cutoff))
+    scaled[0] = np.exp(k * log_mod - 0.5 * mod2 - 0.5 * gammaln(k + 1))
+    if cutoff > 1:
+        scaled[1] = (k + 1 - mod2) * scaled[0] / np.sqrt(k + 1)
+    # coefficients of the steps n -> n + 1 for n = 1 .. cutoff-2 (row n - 1)
+    steps = np.arange(1, cutoff - 1)[:, None]
+    up = (2 * steps + k + 1 - mod2) * np.sqrt((steps + 1) / (steps + 1 + k))
+    down = (steps + k) * np.sqrt(
+        (steps + 1) * steps / ((steps + 1 + k) * (steps + k))
+    )
+    for n in range(1, cutoff - 1):
+        scaled[n + 1] = (up[n - 1] * scaled[n] - down[n - 1] * scaled[n - 1]) / (n + 1)
+    rows, cols = np.tril_indices(cutoff)
+    diag = rows - cols
+    values = scaled[cols, diag]
+    out = np.empty((cutoff, cutoff), dtype=complex)
+    # upper triangle from D(alpha)^dag = D(-alpha); the main diagonal
+    # (k = 0) is written twice with the same value
+    out[cols, rows] = ((-phase.conjugate()) ** k)[diag] * values
+    out[rows, cols] = (phase**k)[diag] * values
     return out
 
 
@@ -184,12 +187,3 @@ def expectation(op, state):
             f"expectation has non-negligible imaginary part {val.imag:.3e}"
         )
     return float(val.real)
-
-
-def normalize(state):
-    """Normalize a Fock amplitude vector to unit norm."""
-    state = np.asarray(state, dtype=complex)
-    norm = np.linalg.norm(state)
-    if norm == 0:
-        raise InvalidArgumentError("cannot normalize the zero vector")
-    return state / norm

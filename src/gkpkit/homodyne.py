@@ -93,12 +93,6 @@ def sample_quadrature(state, angle, count, seed, grid=None):
     return QuadratureSamples(angle=angle, values=values, seed=seed)
 
 
-def _cosine_moment(samples, freq):
-    vals = np.cos(freq * samples)
-    n = vals.size
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
-
-
 def estimate_witness(state_or_samples, u, count_per_quadrature=100_000, seed=0):
     """Estimate <O_GKP(u)> from three sets of homodyne samples.
 

@@ -158,18 +158,6 @@ def analytic_complement(label, cutoff, padding=None):
     raise InvalidArgumentError(f"no analytic complement for target {label!r}")
 
 
-def export_operator_csv(op, path):
-    """Row-major CSV dump with 're,im' pairs, for debugging."""
-    rows = []
-    for row in op:
-        cells = []
-        for z in row:
-            cells.append(f"{z.real!r},{z.imag!r}")
-        rows.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-
-
 __all__ = [
     "GkpOperatorSet",
     "TABLE_TARGETS",
@@ -177,7 +165,6 @@ __all__ = [
     "build_operator_set",
     "check_unit",
     "expectation",
-    "export_operator_csv",
     "gkp_operator",
     "reduced_zero_operator",
     "stabilizer",

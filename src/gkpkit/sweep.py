@@ -4,7 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh, eigvalsh
 
 from .bloch import Atlas, infidelity_matrix
 from .errors import DegenerateInputError, InvalidArgumentError, NumericalFailureError
@@ -20,36 +20,52 @@ class SweepRecord:
     expectation: dict = field(default_factory=dict)  # N -> (M, M) array
     infidelity: np.ndarray = None
     ground_energies: dict = field(default_factory=dict)  # N -> (M,) array
+    # N -> min over states of E_odd - E_even, the spectral gap between the
+    # lowest odd-parity level and the (even-parity) ground state
+    parity_gap: dict = field(default_factory=dict)
 
 
 def _sweep_cutoff(points, cutoff):
-    """Ground states and expectation matrix for one cutoff.
+    """Ground states, expectation matrix and parity gap for one cutoff.
 
-    O_GKP(u_j) is linear in u_j, so each row of the expectation matrix only
-    needs the four component expectations of the row's ground state.
+    Every term of O_GKP(u) is a cosine of a linear quadrature, so the
+    operator commutes with photon-number parity (-1)^n and its even and odd
+    Fock levels do not couple. The ground state is taken from the even block
+    of size ceil(N/2); the odd block gives only its lowest eigenvalue, which
+    must lie above the even ground energy. O_GKP(u_j) is linear in u_j, so
+    each row of the expectation matrix only needs the four component
+    expectations of the row's ground state, which one contraction gives for
+    all states at once.
     """
     ops = build_operator_set(cutoff)
+    blocks = np.stack([ops.o1 + np.eye(cutoff), ops.ox, ops.oy, ops.oz])
+    even = np.ascontiguousarray(blocks[:, 0::2, 0::2])
+    odd = np.ascontiguousarray(blocks[:, 1::2, 1::2])
     m = points.shape[0]
-    base = ops.o1 + np.eye(cutoff)
-    comps = np.stack([ops.ox, ops.oy, ops.oz])
     energies = np.empty(m)
-    const_part = np.empty(m)
-    pauli_part = np.empty((m, 3))
+    gaps = np.empty(m)
+    states = np.empty((m, even.shape[1]), dtype=complex)
     for i, u in enumerate(points):
-        op = base - (u[0] * ops.ox + u[1] * ops.oy + u[2] * ops.oz)
-        op = 0.5 * (op + op.conj().T)
         try:
-            evals, evecs = eigh(op, subset_by_index=(0, 0))
+            evals, evecs = eigh(even[0] - np.tensordot(u, even[1:], axes=1))
+            odd_ground = eigvalsh(odd[0] - np.tensordot(u, odd[1:], axes=1))[0]
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(
                 "eigensolver failed during sweep", bloch=tuple(u), cutoff=cutoff
             ) from exc
+        gaps[i] = odd_ground - evals[0]
+        if not gaps[i] > 0:
+            raise NumericalFailureError(
+                "ground state is not in the even-parity sector",
+                bloch=tuple(u),
+                cutoff=cutoff,
+                parity_gap=float(gaps[i]),
+            )
         energies[i] = evals[0]
-        psi = evecs[:, 0]
-        const_part[i] = np.vdot(psi, base @ psi).real
-        pauli_part[i] = [np.vdot(psi, comp @ psi).real for comp in comps]
-    expectation = const_part[:, None] - pauli_part @ points.T
-    return cutoff, expectation, energies
+        states[i] = evecs[:, 0]
+    parts = np.einsum("mi,kij,mj->mk", states.conj(), even, states).real
+    expectation = parts[:, :1] - parts[:, 1:] @ points.T
+    return cutoff, expectation, energies, float(gaps.min())
 
 
 def run_sweep(atlas, cutoffs, workers=1):
@@ -72,14 +88,16 @@ def run_sweep(atlas, cutoffs, workers=1):
     if workers > 1 and len(cutoffs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_sweep_cutoff, [points] * len(cutoffs), cutoffs)
-            for cutoff, expectation, energies in results:
+            for cutoff, expectation, energies, gap in results:
                 record.expectation[cutoff] = expectation
                 record.ground_energies[cutoff] = energies
+                record.parity_gap[cutoff] = gap
     else:
         for cutoff in cutoffs:
-            _, expectation, energies = _sweep_cutoff(points, cutoff)
+            _, expectation, energies, gap = _sweep_cutoff(points, cutoff)
             record.expectation[cutoff] = expectation
             record.ground_energies[cutoff] = energies
+            record.parity_gap[cutoff] = gap
     return record
 
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from gkpkit.cli import main, parse_bloch, parse_cutoffs, parse_grid
+from gkpkit.cli import load_sweep, main, parse_bloch, parse_cutoffs, parse_grid
 from gkpkit.errors import InvalidArgumentError
 from gkpkit.io_utils import read_csv
 
@@ -107,6 +107,9 @@ def test_sweep_analyze_roundtrip(tmp_path):
         doc = json.load(fh)
     assert doc["schema_version"] == 1
     assert sorted(int(k) for k in doc["per_cutoff"]) == [10, 20, 30]
+    gaps = {int(k): block["parity_gap"] for k, block in doc["per_cutoff"].items()}
+    assert all(gap > 0 for gap in gaps.values())
+    assert load_sweep(str(sw / "sweep.json")).parity_gap == gaps
     code = main(["analyze", "--sweep", str(sw / "sweep.json"), "--out", str(an)])
     assert code == 0
     _, header, rows = read_csv(an / "regression.csv")
@@ -130,6 +133,25 @@ def test_sweep_resume_skips_done_cutoffs(tmp_path):
     with open(sw / "sweep.json") as fh:
         doc = json.load(fh)
     assert sorted(int(k) for k in doc["per_cutoff"]) == [10, 20, 30]
+
+
+def test_sweep_files_without_parity_gap_load_and_resume(tmp_path):
+    # sweep.json files written before the parity gap was recorded
+    sw = tmp_path / "sw"
+    path = sw / "sweep.json"
+    base = ["sweep", "--delta", "1.2", "--seed", "0", "--out", str(sw)]
+    assert main(base + ["--cutoffs", "10,20"]) == 0
+    doc = json.loads(path.read_text())
+    for block in doc["per_cutoff"].values():
+        del block["parity_gap"]
+    path.write_text(json.dumps(doc))
+    assert load_sweep(str(path)).parity_gap == {}
+    assert main(base + ["--cutoffs", "10,20,30", "--resume"]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["schema_version"] == 1
+    assert "parity_gap" not in doc["per_cutoff"]["10"]
+    assert doc["per_cutoff"]["30"]["parity_gap"] > 0
+    assert main(["analyze", "--sweep", str(path), "--out", str(tmp_path / "an")]) == 0
 
 
 def test_analyze_rejects_unknown_schema(tmp_path, capsys):

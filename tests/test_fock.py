@@ -100,6 +100,43 @@ def test_displacement_matches_closed_form():
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
+def _mp_displacement_element(mpmath, alpha, m, n):
+    """<m|D(alpha)|n> from the closed form in 40-digit arithmetic."""
+    if m < n:
+        # <m|D(a)|n> = conj(<n|D(-a)|m>) via D(a)^dag = D(-a), which is the
+        # closed form below taken at -conj(a)
+        return _mp_displacement_element(mpmath, -np.conj(alpha), n, m)
+    with mpmath.workdps(40):
+        a = mpmath.mpc(alpha.real, alpha.imag)
+        x = abs(a) ** 2
+        value = (
+            mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m))
+            * a ** (m - n)
+            * mpmath.exp(-x / 2)
+            * mpmath.laguerre(n, m - n, x)
+        )
+        return complex(value)
+
+
+@pytest.mark.parametrize("cutoff", [150, 400, 800])
+def test_displacement_matches_mpmath_oracle(cutoff):
+    import mpmath
+
+    rng = np.random.default_rng(cutoff)
+    last = cutoff - 1
+    edge = rng.integers(0, cutoff, 4)
+    elements = [(0, 0), (0, last), (last, 0), (last, last)]
+    for j in edge:
+        elements += [(0, j), (last, j), (j, 0), (j, last)]
+    elements += [tuple(pair) for pair in rng.integers(0, cutoff, (16, 2))]
+    # stabilizer amplitudes of X, Z, Y and their doubles (the O_1 terms)
+    for alpha in SQRT_PI / np.sqrt(2) * np.array([1, 1j, 1 + 1j, 2, 2j, 2 + 2j]):
+        mat = displacement_matrix(alpha, cutoff)
+        for m, n in elements:
+            ref = _mp_displacement_element(mpmath, alpha, m, n)
+            assert abs(mat[m, n] - ref) <= 1e-13, (alpha, m, n)
+
+
 def test_displacement_unitary_on_interior():
     d = displacement_matrix(np.sqrt(np.pi / 2), 128)
     defect = (d.conj().T @ d - np.eye(128))[:64, :64]

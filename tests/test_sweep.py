@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from gkpkit import sweep
 from gkpkit.bloch import Atlas, core_states, order_greedy
-from gkpkit.errors import DegenerateInputError, InvalidArgumentError
+from gkpkit.cli import main
+from gkpkit.errors import (
+    DegenerateInputError,
+    InvalidArgumentError,
+    NumericalFailureError,
+)
+from gkpkit.fock import expectation, ground_state
+from gkpkit.operators import GkpOperatorSet, build_operator_set, gkp_operator
 from gkpkit.sweep import (
     diagonal_violations,
     logical_subspace_identity_check,
@@ -76,6 +84,7 @@ def test_parallel_equivalence():
         np.testing.assert_array_equal(
             serial.ground_energies[n], parallel.ground_energies[n]
         )
+    assert serial.parity_gap == parallel.parity_gap
 
 
 def test_sweep_determinism(stabilizer_record):
@@ -150,3 +159,61 @@ def test_diagonal_violations_counting():
     assert diagonal_violations(good) == 0
     bad = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert diagonal_violations(bad) == 4
+
+
+def _oracle_points():
+    rng = np.random.default_rng(2024)
+    generic = rng.standard_normal((8, 3))
+    generic /= np.linalg.norm(generic, axis=1, keepdims=True)
+    return np.vstack([np.array([vec for _, vec in core_states()]), generic])
+
+
+@pytest.mark.parametrize("cutoff", [5, 6, 51, 120])
+def test_parity_sweep_matches_full_matrix_oracle(cutoff):
+    # the sweep solves only the even-parity block; the oracle diagonalizes
+    # the full N x N operator and evaluates every entry directly
+    points = _oracle_points()
+    record = run_sweep(Atlas(points=points, labels=[""] * len(points)), [cutoff])
+    ops = [gkp_operator(u, cutoff) for u in points]
+    gaps = []
+    for i, op in enumerate(ops):
+        energy, psi = ground_state(op)
+        assert abs(record.ground_energies[cutoff][i] - energy) <= 1e-12
+        row = [expectation(op_j, psi) for op_j in ops]
+        np.testing.assert_allclose(
+            record.expectation[cutoff][i], row, rtol=0, atol=1e-12
+        )
+        evals, evecs = np.linalg.eigh(op)
+        odd_weight = np.sum(np.abs(evecs[1::2]) ** 2, axis=0)
+        assert odd_weight[0] < 1e-12  # the ground state is even
+        gaps.append(evals[odd_weight > 0.5][0] - energy)
+    assert record.parity_gap[cutoff] > 0
+    assert abs(record.parity_gap[cutoff] - min(gaps)) <= 1e-12
+
+
+def _odd_ground_operator_set(cutoff):
+    """The true operator set with every odd level pushed 10 below the rest."""
+    ops = build_operator_set(cutoff)
+    shift = np.diag(10.0 * (np.arange(cutoff) % 2))
+    return GkpOperatorSet(
+        o1=ops.o1 - shift, ox=ops.ox, oy=ops.oy, oz=ops.oz, cutoff=cutoff
+    )
+
+
+def test_odd_sector_ground_state_raises(monkeypatch):
+    monkeypatch.setattr(sweep, "build_operator_set", _odd_ground_operator_set)
+    atlas = Atlas(points=STABILIZER_POINTS, labels=[""] * 6)
+    with pytest.raises(NumericalFailureError, match="even-parity"):
+        run_sweep(atlas, [10, 20])
+
+
+def test_sweep_command_exits_3_on_odd_sector_ground_state(
+    monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(sweep, "build_operator_set", _odd_ground_operator_set)
+    code = main(
+        ["sweep", "--delta", "1.2", "--cutoffs", "10,20", "--out", str(tmp_path)]
+    )
+    assert code == 3
+    assert "even-parity" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
