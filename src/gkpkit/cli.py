@@ -37,7 +37,8 @@ _U_ALIASES = {
 
 def parse_bloch(text):
     """Parse a Bloch vector: an alias ('0', 'H', ...), a core-state label,
-    or an explicit 'ux,uy,uz' triple (normalized if slightly off-unit)."""
+    or an explicit 'ux,uy,uz' triple (any nonzero triple, scaled to unit
+    length)."""
     if text in _U_ALIASES:
         return np.array(_U_ALIASES[text])
     for label, vec in bloch.core_states():
@@ -136,22 +137,27 @@ def cmd_groundstate(args):
     }
     rows = [(n, _fmt(state[n].real), _fmt(state[n].imag)) for n in range(args.cutoff)]
     io_utils.write_csv(os.path.join(out, "state.csv"), ("n", "re", "im"), rows, config)
-    io_utils.write_json(
-        os.path.join(out, "groundstate.json"),
-        {"ground_energy": energy, "bloch": [float(v) for v in u], "cutoff": args.cutoff},
-        config,
-    )
+    summary = {
+        "ground_energy": energy, "bloch": [float(v) for v in u], "cutoff": args.cutoff
+    }
     if args.wigner:
-        axis = parse_grid(args.grid) if args.grid else np.linspace(-6, 6, 241)
+        if args.grid:
+            axis = parse_grid(args.grid)
+        else:
+            # the state's support, in steps of at most 0.1
+            half_width = homodyne.support_half_width(state)
+            axis = np.linspace(-half_width, half_width, math.ceil(20 * half_width) + 1)
         grid = wigner_fn(state, axis, axis)
-        rows = [
+        summary["wigner_mass"] = grid.mass()
+        rows = (
             (_fmt(x), _fmt(p), _fmt(grid.values[i, j]))
             for i, x in enumerate(axis)
             for j, p in enumerate(axis)
-        ]
+        )
         io_utils.write_csv(
             os.path.join(out, "wigner.csv"), ("x", "p", "W"), rows, config
         )
+    io_utils.write_json(os.path.join(out, "groundstate.json"), summary, config)
     print(f"groundstate: energy {energy:.6e} -> {out}/groundstate.json")
     return EXIT_OK
 

@@ -6,7 +6,7 @@ Operators are plain complex numpy arrays; states are 1-D complex arrays.
 """
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
+from numpy.linalg import LinAlgError, eigh
 from scipy.special import gammaln
 
 from .errors import InvalidArgumentError, NumericalFailureError
@@ -45,69 +45,63 @@ def quadrature_matrix(coeff_x, coeff_p, cutoff):
     return hermitize(coeff_x * x + coeff_p * p)
 
 
+def _eigh(matrix, failure, **diagnostics):
+    """numpy eigh of a Hermitian matrix; a failed solve or a non-finite entry
+    raises NumericalFailureError with the given message."""
+    diagnostics["dimension"] = matrix.shape[0]
+    if not np.all(np.isfinite(matrix)):
+        raise NumericalFailureError(
+            f"{failure}: non-finite matrix entries", **diagnostics
+        )
+    try:
+        return eigh(matrix)
+    except LinAlgError as exc:
+        raise NumericalFailureError(failure, **diagnostics) from exc
+
+
 def _spectral_function(func, coeff_x, coeff_p, scale, cutoff, padding):
     """Apply `func` to scale*(coeff_x*x + coeff_p*p) spectrally, then truncate.
 
     The function is evaluated in dimension cutoff+padding and the top-left
     cutoff x cutoff block is returned; padding suppresses truncation error
-    in the retained block.
-    """
-    if padding < 0:
-        raise InvalidArgumentError(f"padding must be >= 0, got {padding}")
-    dim = cutoff + padding
-    quad = quadrature_matrix(coeff_x, coeff_p, dim)
-    try:
-        evals, evecs = eigh(quad)
-    except LinAlgError as exc:
-        raise NumericalFailureError(
-            "eigendecomposition of quadrature matrix failed",
-            dimension=dim,
-            coeff_x=coeff_x,
-            coeff_p=coeff_p,
-        ) from exc
-    full = (evecs * func(scale * evals)) @ evecs.conj().T
-    return hermitize(full[:cutoff, :cutoff])
-
-
-def cosine_of_quadrature(coeff_x, coeff_p, scale, cutoff, padding=None):
-    """cos(scale * (coeff_x*x + coeff_p*p)) via padded spectral decomposition.
-
-    Default padding equals the cutoff, which keeps the retained block within
-    ~1e-8 of the exact truncation of the infinite-dimensional operator.
+    in the retained block.  Default padding equals the cutoff, which keeps
+    the retained block within ~1e-8 of the exact truncation of the
+    infinite-dimensional operator.
     """
     if padding is None:
         padding = cutoff
-    return _spectral_function(np.cos, coeff_x, coeff_p, scale, cutoff, padding)
+    if padding < 0:
+        raise InvalidArgumentError(f"padding must be >= 0, got {padding}")
+    dim = cutoff + padding
+    evals, evecs = _eigh(
+        quadrature_matrix(coeff_x, coeff_p, dim),
+        "eigendecomposition of quadrature matrix failed",
+        coeff_x=coeff_x,
+        coeff_p=coeff_p,
+    )
+    full = (evecs * func(scale * evals)) @ evecs.conj().T
+    return full[:cutoff, :cutoff]
+
+
+def cosine_of_quadrature(coeff_x, coeff_p, scale, cutoff, padding=None):
+    """cos(scale * (coeff_x*x + coeff_p*p)) via padded spectral decomposition."""
+    return hermitize(
+        _spectral_function(np.cos, coeff_x, coeff_p, scale, cutoff, padding)
+    )
 
 
 def sine_of_quadrature(coeff_x, coeff_p, scale, cutoff, padding=None):
     """sin(scale * (coeff_x*x + coeff_p*p)); companion to cosine_of_quadrature."""
-    if padding is None:
-        padding = cutoff
-    return _spectral_function(np.sin, coeff_x, coeff_p, scale, cutoff, padding)
+    return hermitize(
+        _spectral_function(np.sin, coeff_x, coeff_p, scale, cutoff, padding)
+    )
 
 
 def exp_of_quadrature(coeff_x, coeff_p, scale, cutoff, padding=None):
     """exp(i * scale * (coeff_x*x + coeff_p*p)); unitary before truncation."""
-    if padding is None:
-        padding = cutoff
-    if cutoff < 2:
-        raise InvalidArgumentError(f"cutoff must be >= 2, got {cutoff}")
-    if padding < 0:
-        raise InvalidArgumentError(f"padding must be >= 0, got {padding}")
-    dim = cutoff + padding
-    quad = quadrature_matrix(coeff_x, coeff_p, dim)
-    try:
-        evals, evecs = eigh(quad)
-    except LinAlgError as exc:
-        raise NumericalFailureError(
-            "eigendecomposition of quadrature matrix failed",
-            dimension=dim,
-            coeff_x=coeff_x,
-            coeff_p=coeff_p,
-        ) from exc
-    full = (evecs * np.exp(1j * scale * evals)) @ evecs.conj().T
-    return full[:cutoff, :cutoff]
+    return _spectral_function(
+        lambda phase: np.exp(1j * phase), coeff_x, coeff_p, scale, cutoff, padding
+    )
 
 
 def displacement_matrix(alpha, cutoff):
@@ -161,12 +155,7 @@ def ground_state(op):
     amplitude real and positive.
     """
     check_hermitian(op, tol=1e-10)
-    try:
-        evals, evecs = eigh(op)
-    except LinAlgError as exc:
-        raise NumericalFailureError(
-            "eigensolver failed to converge", dimension=op.shape[0]
-        ) from exc
+    evals, evecs = _eigh(op, "eigensolver failed to converge")
     vec = evecs[:, 0]
     vec = vec / np.linalg.norm(vec)
     idx = int(np.argmax(np.abs(vec)))

@@ -16,6 +16,7 @@ from .operators import check_unit
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2 * math.pi)
+_RESCALE = 1e150
 
 MEASUREMENT_ANGLES = (0.0, math.pi / 2, -math.pi / 4)
 
@@ -34,27 +35,53 @@ class WitnessEstimate:
     per_term: tuple  # six (moment, std_error) pairs
 
 
-def hermite_basis(nmax, grid):
-    """Hermite functions phi_0..phi_(nmax-1) on the grid, rows indexed by n."""
-    grid = np.asarray(grid, dtype=float)
-    basis = np.empty((nmax, grid.size))
-    basis[0] = np.pi ** (-0.25) * np.exp(-0.5 * grid**2)
-    if nmax > 1:
-        basis[1] = math.sqrt(2.0) * grid * basis[0]
-    for n in range(1, nmax - 1):
-        basis[n + 1] = (
-            math.sqrt(2.0 / (n + 1)) * grid * basis[n]
-            - math.sqrt(n / (n + 1)) * basis[n - 1]
-        )
-    return basis
+def wavefunction(state, points):
+    """Quadrature wavefunction sum_n c_n phi_n(t) at points of any shape.
+
+    phi_n are the Hermite functions with vacuum variance 1/2.  A single
+    recurrence in n runs over all points and accumulates the sum as it goes,
+    so the (levels x points) basis is never stored.  The factor e^(-t^2/2) is
+    held apart as a per-point logarithm and points whose recurrence values
+    grow large are rescaled every 16 steps, so neither the Gaussian
+    underflows nor the polynomial part overflows, even far outside the
+    classically allowed region.
+    """
+    state = np.asarray(state, dtype=complex)
+    t = np.asarray(points, dtype=float)
+    log_scale = -0.5 * t**2
+    prev = np.zeros(t.shape)
+    cur = np.full(t.shape, np.pi ** (-0.25))
+    acc = state[0] * cur
+    for n in range(1, state.size):
+        nxt = (math.sqrt(2.0 / n) * t) * cur
+        nxt -= math.sqrt((n - 1) / n) * prev
+        prev, cur = cur, nxt
+        acc += state[n] * cur
+        if n % 16 == 0:
+            big = np.abs(cur) > _RESCALE
+            if big.any():
+                shrink = np.where(big, 1 / _RESCALE, 1.0)
+                cur *= shrink
+                prev *= shrink
+                acc *= shrink
+                log_scale[big] += math.log(_RESCALE)
+    # rescaled points hold a large acc and a log_scale below the exp range
+    half = np.exp(0.5 * log_scale)
+    return acc * half * half
+
+
+def support_half_width(state):
+    """Half-width sqrt(2 n_max) + 5 of the classically allowed region plus tails,
+    where n_max is the highest level with amplitude above 1e-8."""
+    state = np.asarray(state)
+    occupied = np.nonzero(np.abs(state) > 1e-8)[0]
+    n_max = int(occupied[-1]) if occupied.size else 0
+    return math.sqrt(2 * n_max) + 5
 
 
 def default_grid(state, points=4096):
     """Grid spanning the classically allowed region of the state plus tails."""
-    state = np.asarray(state)
-    occupied = np.nonzero(np.abs(state) > 1e-8)[0]
-    n_max = int(occupied[-1]) if occupied.size else 0
-    half_width = math.sqrt(2 * n_max) + 5 if n_max else 5.0
+    half_width = support_half_width(state)
     return np.linspace(-half_width, half_width, points)
 
 
@@ -65,7 +92,7 @@ def rotated_wavefunction(state, angle, grid):
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise InvalidArgumentError("grid must be strictly increasing")
     rotated = state * np.exp(-1j * angle * np.arange(state.size))
-    psi = rotated @ hermite_basis(state.size, grid)
+    psi = wavefunction(rotated, grid)
     mass = np.trapezoid(np.abs(psi) ** 2, grid)
     if mass < 1 - 1e-6:
         raise MassDeficitError(

@@ -5,9 +5,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidArgumentError
+from .homodyne import wavefunction
 
 log = logging.getLogger(__name__)
 
@@ -28,12 +28,26 @@ class WignerGrid:
 def wigner(state, xs, ps):
     """Wigner function W(x, p) of a pure state given by Fock amplitudes.
 
-    Displaced-parity evaluation: W = (1/pi) sum_{m,n} c_m* c_n (-1)^n
-    <m|D(2 alpha)|n> with alpha = (x + i p)/sqrt(2).  The displacement
-    elements are generated diagonal by diagonal with the same bounded
-    Laguerre recurrence used for operator construction, vectorized over the
-    grid; normalization is such that the integral of W is one and the
-    vacuum peaks at exactly 1/pi.
+    Wigner-Weyl integral over the quadrature wavefunction psi:
+
+        W(x, p) = (1/pi) int psi*(x + y) psi(x - y) e^(2ipy) dy.
+
+    psi is evaluated at x_i +- y_l by `homodyne.wavefunction`.  The
+    integrand f(x, y) = psi*(x + y) psi(x - y) obeys f(x, -y) = conj f(x, y),
+    so the trapezoid sum runs over y >= 0 only, with weights 1, 2, 2, ...,
+    and W = Re(f) cos(2 y p^T) - Im(f) sin(2 y p^T) is two real matrix
+    products.
+
+    y-step rule: an N-level state is negligible beyond the reach
+    R = sqrt(2N + 1) + 6 in both quadratures, so y runs over [0, R] in steps
+    dy = pi / (R + max|p|).  The trapezoid sum equals the integral plus
+    aliased copies W(x, p - k pi/dy), k != 0, and for every p on the axis
+    these sit at momenta |p'| >= R, outside the state's support.
+
+    Cost: one N-step Hermite recurrence over 2 len(xs) len(ys) points plus
+    two GEMMs of size len(xs) x len(ys) x len(ps), where
+    len(ys) ~ R (R + max|p|) / pi.  Normalization is such that the integral
+    of W is one and the vacuum peaks at exactly 1/pi.
     """
     state = np.asarray(state, dtype=complex)
     xs = np.asarray(xs, dtype=float)
@@ -43,47 +57,18 @@ def wigner(state, xs, ps):
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-8:
         raise InvalidArgumentError(f"state must be normalized, |psi| = {norm}")
-    m = state.size
-    # gamma = 2*alpha = sqrt(2) (x + i p)
-    gamma = math.sqrt(2) * (xs[:, None] + 1j * ps[None, :])
-    mod2 = np.abs(gamma) ** 2
-    at_origin = mod2 == 0
-    with np.errstate(divide="ignore"):
-        log_mod = 0.5 * np.log(np.where(at_origin, 1.0, mod2))
-    phase = np.where(at_origin, 1.0, gamma / np.where(at_origin, 1.0, np.abs(gamma)))
-    signs = (-1.0) ** np.arange(m)
+    reach = math.sqrt(2 * state.size + 1) + 6
+    dy = math.pi / (reach + np.abs(ps).max(initial=0.0))
+    ys = dy * np.arange(math.ceil(reach / dy) + 1)
+    # psi[0] = psi(x_i + y_l), psi[1] = psi(x_i - y_l)
+    psi = wavefunction(state, xs[:, None] + np.multiply.outer((1.0, -1.0), ys)[:, None])
+    weights = np.full(ys.size, 2 * dy / math.pi)
+    weights[0] /= 2
+    f = psi[0].conj() * psi[1] * weights
+    arg = 2 * np.multiply.outer(ys, ps)
+    w = f.real @ np.cos(arg) - f.imag @ np.sin(arg)
 
-    w = np.zeros(gamma.shape)
-    for k in range(m):
-        nmax = m - k
-        # coefficients (-1)^n conj(c_{n+k}) c_n of the k-th diagonal
-        coeffs = signs[:nmax] * state[k:].conj() * state[:nmax]
-        if not np.any(coeffs):
-            continue
-        scaled_prev = None
-        scaled = np.exp(k * log_mod - 0.5 * mod2 - 0.5 * gammaln(k + 1))
-        if k > 0:
-            scaled = np.where(at_origin, 0.0, scaled)
-        acc = coeffs[0] * scaled
-        for n in range(1, nmax):
-            if n == 1:
-                nxt = (k + 1 - mod2) * scaled / math.sqrt(k + 1)
-            else:
-                c_up = math.sqrt(n / (n + k))
-                c_dn = math.sqrt(n * (n - 1) / ((n + k) * (n + k - 1)))
-                nxt = (
-                    (2 * (n - 1) + k + 1 - mod2) * c_up * scaled
-                    - (n - 1 + k) * c_dn * scaled_prev
-                ) / n
-            scaled_prev = scaled
-            scaled = nxt
-            acc = acc + coeffs[n] * scaled
-        if k == 0:
-            w += acc.real
-        else:
-            w += 2 * (phase**k * acc).real
-
-    grid = WignerGrid(xs=xs, ps=ps, values=w / math.pi)
+    grid = WignerGrid(xs=xs, ps=ps, values=w)
     mass = grid.mass()
     if abs(mass - 1.0) > 1e-4:
         log.warning("Wigner grid captures mass %.6f (deficit %.2e)", mass, 1 - mass)

@@ -93,6 +93,25 @@ def test_groundstate_wigner_output(tmp_path):
     assert max(abs(float(r[2])) for r in rows) <= 1 / math.pi + 1e-9
 
 
+def test_groundstate_default_wigner_grid_keeps_mass(tmp_path):
+    out = tmp_path / "w"
+    code = main(
+        ["groundstate", "--u", "H", "--cutoff", "150", "--out", str(out), "--wigner"]
+    )
+    assert code == 0
+    with open(out / "groundstate.json") as fh:
+        doc = json.load(fh)
+    assert abs(doc["wigner_mass"] - 1.0) < 1e-4
+    _, _, rows = read_csv(out / "wigner.csv")
+    xs = sorted({float(r[0]) for r in rows})
+    assert len(rows) == len(xs) ** 2
+    assert max(np.diff(xs)) <= 0.1 + 1e-12
+    plain = tmp_path / "plain"
+    assert main(["groundstate", "--u", "H", "--cutoff", "20", "--out", str(plain)]) == 0
+    with open(plain / "groundstate.json") as fh:
+        assert "wigner_mass" not in json.load(fh)
+
+
 def test_sweep_analyze_roundtrip(tmp_path):
     sw = tmp_path / "sw"
     an = tmp_path / "an"

@@ -12,6 +12,7 @@ from gkpkit.homodyne import (
     estimate_witness,
     rotated_wavefunction,
     sample_quadrature,
+    wavefunction,
 )
 from gkpkit.operators import gkp_operator
 
@@ -37,6 +38,46 @@ def test_fock_one_wavefunction():
     psi = rotated_wavefunction(state, 0.0, grid)
     ref = np.pi ** (-0.25) * math.sqrt(2) * grid * np.exp(-0.5 * grid**2)
     np.testing.assert_allclose(psi, ref, atol=1e-12)
+
+
+def _mp_wavefunction(mpmath, state, t):
+    """sum_n c_n phi_n(t) from the closed form in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(float(t))
+        total = mpmath.mpc(0)
+        for n, c in enumerate(state):
+            norm = mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+            phi = mpmath.hermite(n, t) * mpmath.exp(-t * t / 2) / norm
+            total += mpmath.mpc(c.real, c.imag) * phi
+        return complex(total)
+
+
+@pytest.mark.parametrize("level", [0, 1, 17, 400, 799])
+def test_wavefunction_fock_levels_match_mpmath(level):
+    # points far outside the classically allowed region, where e^(-t^2/2)
+    # alone underflows, test the rescaled recurrence
+    import mpmath
+
+    state = np.zeros(level + 1, dtype=complex)
+    state[level] = 1.0
+    points = np.array([0.3, -7.5, 25.0, 39.0, -39.9, 45.0, 60.0])
+    got = wavefunction(state, points)
+    for t, value in zip(points, got):
+        ref = _mp_wavefunction(mpmath, state, t)
+        assert abs(value - ref) <= 1e-12 * abs(ref) + 1e-300, (level, t)
+
+
+def test_wavefunction_random_state_any_shape():
+    import mpmath
+
+    rng = np.random.default_rng(40)
+    state = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    state /= np.linalg.norm(state)
+    points = rng.uniform(-12, 12, (2, 3, 4))
+    got = wavefunction(state, points)
+    assert got.shape == points.shape
+    for t, value in zip(points.ravel(), got.ravel()):
+        assert abs(value - _mp_wavefunction(mpmath, state, t)) <= 1e-13
 
 
 def test_grid_comb_structure():

@@ -28,6 +28,62 @@ def _brute_force(state, xs, ps, padding=40):
     return values
 
 
+def _random_state(size, seed):
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return state / np.linalg.norm(state)
+
+
+def test_matches_brute_force_at_cutoff_150():
+    # displacement_matrix gives exact elements of the infinite operator, so
+    # the unpadded brute force is exact for a state inside the cutoff
+    _, psi = ground_state(gkp_operator((1 / math.sqrt(2), 1 / math.sqrt(2), 0), 150))
+    rng = np.random.default_rng(150)
+    xs = np.sort(rng.uniform(-15, 15, 30))
+    ps = np.sort(rng.uniform(-15, 15, 30))
+    grid = wigner(psi, xs, ps)
+    for i, j in zip(range(30), rng.permutation(30)):
+        ref = _brute_force(psi, xs[i : i + 1], ps[j : j + 1], padding=0)[0, 0]
+        assert abs(grid.values[i, j] - ref) <= 1e-10, (xs[i], ps[j])
+
+
+def test_matches_brute_force_random_state_both_parities():
+    state = _random_state(30, seed=30)
+    assert np.linalg.norm(state[0::2]) > 0.5 and np.linalg.norm(state[1::2]) > 0.5
+    xs = np.linspace(-7, 7, 11)
+    ps = np.linspace(-6, 6, 9)
+    grid = wigner(state, xs, ps)
+    np.testing.assert_allclose(
+        grid.values, _brute_force(state, xs, ps, padding=0), rtol=0, atol=1e-10
+    )
+
+
+def test_asymmetric_axes_and_single_p_column():
+    state = _random_state(12, seed=12)
+    xs = np.linspace(-5, 7, 13)
+    for ps in (np.linspace(-2, 5, 6), np.array([0.7])):
+        grid = wigner(state, xs, ps)
+        assert grid.values.shape == (xs.size, ps.size)
+        np.testing.assert_allclose(
+            grid.values, _brute_force(state, xs, ps, padding=0), rtol=0, atol=1e-10
+        )
+
+
+def test_no_aliasing_for_wide_momentum_axis():
+    # a p-axis reaching far past the support of an N = 50 state: values
+    # inside stay exact, and nothing folds back into the empty region
+    state = _random_state(50, seed=50)
+    xs = np.linspace(-8, 8, 9)
+    ps = np.linspace(-30, 30, 61)
+    grid = wigner(state, xs, ps)
+    np.testing.assert_allclose(
+        grid.values, _brute_force(state, xs, ps, padding=0), rtol=0, atol=1e-10
+    )
+    beyond = np.abs(ps) > math.sqrt(2 * 50 + 1) + 6
+    assert beyond.sum() >= 20
+    assert np.abs(grid.values[:, beyond]).max() < 1e-12
+
+
 def test_vacuum_closed_form():
     xs = np.linspace(-3, 3, 41)
     ps = np.linspace(-3, 3, 37)
