@@ -1,7 +1,9 @@
 """Command-line front end: atlas, groundstate, sweep, analyze, bound, measure."""
 
 import argparse
-import json
+import contextlib
+import ctypes
+import glob
 import math
 import os
 import sys
@@ -10,12 +12,7 @@ import numpy as np
 
 from . import analysis, bloch, gaussian, homodyne, io_utils, operators, sweep
 from .wigner import wigner as wigner_fn
-from .errors import (
-    GkpError,
-    InvalidArgumentError,
-    NumericalFailureError,
-    SchemaVersionError,
-)
+from .errors import GkpError, InvalidArgumentError, NumericalFailureError
 from .fock import expectation, ground_state
 
 EXIT_OK = 0
@@ -23,26 +20,20 @@ EXIT_INVALID_ARGS = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# short name -> core-state label
 _U_ALIASES = {
-    "0": (0.0, 0.0, 1.0),
-    "1": (0.0, 0.0, -1.0),
-    "+": (1.0, 0.0, 0.0),
-    "-": (-1.0, 0.0, 0.0),
-    "i": (0.0, 1.0, 0.0),
-    "-i": (0.0, -1.0, 0.0),
-    "H": (1 / math.sqrt(2), 1 / math.sqrt(2), 0.0),
-    "T": (1 / math.sqrt(3), 1 / math.sqrt(3), 1 / math.sqrt(3)),
+    "0": "0L", "1": "1L", "+": "+L", "-": "-L", "i": "iL", "-i": "-iL",
+    "H": "H+x+y", "T": "T+++",
 }
 
 
 def parse_bloch(text):
     """Parse a Bloch vector: an alias ('0', 'H', ...), a core-state label,
-    or an explicit 'ux,uy,uz' triple (any nonzero triple, scaled to unit
-    length)."""
-    if text in _U_ALIASES:
-        return np.array(_U_ALIASES[text])
+    or an explicit 'ux,uy,uz' triple (any finite nonzero triple, scaled to
+    unit length)."""
+    wanted = _U_ALIASES.get(text, text)
     for label, vec in bloch.core_states():
-        if text == label:
+        if label == wanted:
             return vec
     parts = text.split(",")
     if len(parts) != 3:
@@ -52,8 +43,8 @@ def parse_bloch(text):
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot parse Bloch vector {text!r}") from exc
     norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise InvalidArgumentError("Bloch vector must be nonzero")
+    if not 0 < norm < math.inf:  # NaN fails both comparisons
+        raise InvalidArgumentError(f"Bloch vector must be finite and nonzero: {text!r}")
     return vec / norm
 
 
@@ -179,18 +170,13 @@ def cmd_sweep(args):
     atlas = bloch.order_greedy(bloch.sample_sphere(args.delta, args.seed))
     done = {}
     if args.resume and os.path.exists(path):
-        with open(path) as fh:
-            old = json.load(fh)
-        if old.get("schema_version") != io_utils.SWEEP_SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"cannot resume from schema version {old.get('schema_version')!r}"
-            )
+        old = io_utils.read_sweep(path)
         if old.get("delta") == args.delta and old.get("seed") == args.seed:
             done = old.get("per_cutoff", {})
         else:
             print("resume: config mismatch, recomputing everything", file=sys.stderr)
     todo = [n for n in cutoffs if str(n) not in done]
-    record = sweep.run_sweep(atlas, todo, workers=args.workers)
+    record = sweep.run_sweep(atlas, todo)
     per_cutoff = {key: done[key] for key in done if int(key) in cutoffs}
     for n in todo:
         per_cutoff[str(n)] = {
@@ -218,17 +204,8 @@ def cmd_sweep(args):
 
 
 def load_sweep(path):
-    """Rebuild a SweepRecord from sweep.json, checking the schema version."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaVersionError(f"corrupt sweep file {path}: {exc}") from exc
-    if doc.get("schema_version") != io_utils.SWEEP_SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"unknown sweep schema version {doc.get('schema_version')!r}; "
-            f"expected {io_utils.SWEEP_SCHEMA_VERSION}"
-        )
+    """Rebuild a SweepRecord from sweep.json (read by io_utils.read_sweep)."""
+    doc = io_utils.read_sweep(path)
     atlas = bloch.Atlas(
         points=np.array(doc["atlas"]["points"]),
         labels=doc["atlas"]["labels"],
@@ -414,7 +391,6 @@ def build_parser():
     p.add_argument("--delta", type=float, default=0.35)
     p.add_argument("--cutoffs", default="5:120:5")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="out")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -444,6 +420,26 @@ def build_parser():
     return parser
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread, so that result files do not
+    depend on the thread count; restore the old count on exit. Does nothing
+    where numpy ships no such library."""
+    libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*")
+    lib = ctypes.CDLL(libs[0]) if libs else None
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        yield
+        return
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -451,7 +447,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_INVALID_ARGS if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_ARGS

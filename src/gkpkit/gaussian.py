@@ -13,9 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InvalidArgumentError
-from .operators import check_unit
-
-SQRT_PI = math.sqrt(math.pi)
+from .operators import SQRT_PI, check_unit
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, MassDeficitError
-from .operators import check_unit
+from .operators import SQRT_PI, check_unit
 
-SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2 * math.pi)
 _RESCALE = 1e150
 

@@ -5,6 +5,8 @@ import io
 import json
 from datetime import datetime, timezone
 
+from .errors import SchemaVersionError
+
 ARTIFACT_VERSION = "0.1.0"
 SWEEP_SCHEMA_VERSION = 1
 
@@ -43,6 +45,27 @@ def write_json(path, payload, config):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def read_sweep(path):
+    """The sweep.json document at path, a dict of the current schema version.
+
+    Raises SchemaVersionError when the file is corrupt, is not a JSON
+    object, or carries another schema version.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaVersionError(f"corrupt sweep file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaVersionError(f"corrupt sweep file {path}: not a JSON object")
+    if doc.get("schema_version") != SWEEP_SCHEMA_VERSION:
+        raise SchemaVersionError(
+            f"unknown sweep schema version {doc.get('schema_version')!r}; "
+            f"expected {SWEEP_SCHEMA_VERSION}"
+        )
+    return doc
 
 
 def read_csv(path):

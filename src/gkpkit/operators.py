@@ -9,6 +9,7 @@ stabilizers are displacements:
     Y = i X Z = e^(i sqrt(pi)(x-p)) = D(sqrt(pi/2) (1+i))
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,7 +23,8 @@ from .fock import (
     hermitize,
 )
 
-SQRT_PI = np.sqrt(np.pi)
+# a Python float: gaussian_R, the bound search's scalar hot loop, uses it
+SQRT_PI = math.sqrt(math.pi)
 
 # Displacement amplitude of e^(i(u*x + v*p)) is alpha = (-v + i*u)/sqrt(2).
 _STABILIZER_ALPHA = {

@@ -1,6 +1,5 @@
 """Bloch-sphere sweep: ground states and the expectation/infidelity matrices."""
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,14 +64,14 @@ def _sweep_cutoff(points, cutoff):
         states[i] = evecs[:, 0]
     parts = np.einsum("mi,kij,mj->mk", states.conj(), even, states).real
     expectation = parts[:, :1] - parts[:, 1:] @ points.T
-    return cutoff, expectation, energies, float(gaps.min())
+    return expectation, energies, float(gaps.min())
 
 
-def run_sweep(atlas, cutoffs, workers=1):
+def run_sweep(atlas, cutoffs):
     """Fill a SweepRecord over all (state, cutoff) combinations.
 
-    Deterministic for fixed atlas and cutoffs; the worker count only
-    distributes cutoffs over processes and never changes results.
+    Deterministic for fixed atlas and cutoffs under a fixed BLAS thread
+    count; the CLI runs every command on one BLAS thread.
     """
     cutoffs = [int(n) for n in cutoffs]
     if sorted(cutoffs) != cutoffs:
@@ -85,19 +84,11 @@ def run_sweep(atlas, cutoffs, workers=1):
         cutoffs=cutoffs,
         infidelity=infidelity_matrix(points),
     )
-    if workers > 1 and len(cutoffs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_sweep_cutoff, [points] * len(cutoffs), cutoffs)
-            for cutoff, expectation, energies, gap in results:
-                record.expectation[cutoff] = expectation
-                record.ground_energies[cutoff] = energies
-                record.parity_gap[cutoff] = gap
-    else:
-        for cutoff in cutoffs:
-            _, expectation, energies, gap = _sweep_cutoff(points, cutoff)
-            record.expectation[cutoff] = expectation
-            record.ground_energies[cutoff] = energies
-            record.parity_gap[cutoff] = gap
+    for cutoff in cutoffs:
+        expectation, energies, gap = _sweep_cutoff(points, cutoff)
+        record.expectation[cutoff] = expectation
+        record.ground_energies[cutoff] = energies
+        record.parity_gap[cutoff] = gap
     return record
 
 

@@ -56,14 +56,14 @@ def core_atlas():
 
 @pytest.fixture(scope="module")
 def core_record(core_atlas):
-    return run_sweep(core_atlas, [50, 100, 150], workers=2)
+    return run_sweep(core_atlas, [50, 100, 150])
 
 
 @pytest.fixture(scope="module")
 def desk_record():
     atlas = order_greedy(sample_sphere(0.35, seed=0))
     cutoffs = list(range(5, 121, 5))
-    return run_sweep(atlas, cutoffs, workers=2)
+    return run_sweep(atlas, cutoffs)
 
 
 def test_criterion_01_analytic_complement_equivalence():
@@ -224,7 +224,7 @@ def test_criterion_11_determinism(tmp_path, core_record, desk_record, capsys):
             labels=[label for label, _ in core_states()],
         )
     )
-    again4 = run_sweep(atlas, [50, 100, 150], workers=1)
+    again4 = run_sweep(atlas, [50, 100, 150])
     same4 = all(
         np.array_equal(core_record.expectation[n], again4.expectation[n])
         for n in (50, 100, 150)

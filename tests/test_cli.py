@@ -1,10 +1,17 @@
+import ctypes
+import glob
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from gkpkit import cli
+from gkpkit.bloch import core_states
 from gkpkit.cli import load_sweep, main, parse_bloch, parse_cutoffs, parse_grid
 from gkpkit.errors import InvalidArgumentError
 from gkpkit.io_utils import read_csv
@@ -27,8 +34,14 @@ def test_parse_bloch_aliases():
     np.testing.assert_allclose(parse_bloch("3,0,4"), (0.6, 0, 0.8))
     with pytest.raises(InvalidArgumentError):
         parse_bloch("bogus")
-    with pytest.raises(InvalidArgumentError):
-        parse_bloch("0,0,0")
+    for text in ("0,0,0", "nan,0,1", "inf,0,0"):
+        with pytest.raises(InvalidArgumentError):
+            parse_bloch(text)
+    cores = dict(core_states())
+    aliases = {"0": "0L", "1": "1L", "+": "+L", "-": "-L", "i": "iL", "-i": "-iL",
+               "H": "H+x+y", "T": "T+++"}
+    for alias, label in aliases.items():
+        assert np.array_equal(parse_bloch(alias), cores[label])
 
 
 def test_parse_cutoffs():
@@ -118,7 +131,7 @@ def test_sweep_analyze_roundtrip(tmp_path):
     code = main(
         [
             "sweep", "--delta", "1.2", "--cutoffs", "10,20,30", "--seed", "2",
-            "--workers", "2", "--out", str(sw),
+            "--out", str(sw),
         ]
     )
     assert code == 0
@@ -187,6 +200,19 @@ def test_analyze_rejects_corrupt_file(tmp_path):
     assert main(["analyze", "--sweep", str(bad), "--out", str(tmp_path / "an")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text", ['{"schema_version": 1, "per_cut', "[1, 2]"], ids=["truncated", "list"]
+)
+def test_bad_sweep_file_exits_2_on_resume_and_analyze(tmp_path, capsys, text):
+    bad = tmp_path / "sweep.json"
+    bad.write_text(text)
+    resume = ["sweep", "--cutoffs", "10", "--out", str(tmp_path), "--resume"]
+    assert main(resume) == 2
+    assert bad.read_text() == text
+    assert main(["analyze", "--sweep", str(bad), "--out", str(tmp_path / "an")]) == 2
+    assert "corrupt sweep file" in capsys.readouterr().err
+
+
 def test_bound_command(tmp_path):
     out = tmp_path / "b"
     code = main(
@@ -217,11 +243,16 @@ def test_measure_command(tmp_path):
 
 def test_invalid_bloch_exits_2(tmp_path, capsys):
     assert main(["groundstate", "--u", "junk", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "nan"
+    args = ["groundstate", "--u", "nan,0,1", "--cutoff", "10", "--out", str(out)]
+    assert main(args) == 2
+    assert not out.exists()
     capsys.readouterr()
 
 
 def test_unknown_flag_exits_2(capsys):
     assert main(["atlas", "--bogus", "1"]) == 2
+    assert main(["sweep", "--workers", "2"]) == 2
     capsys.readouterr()
 
 
@@ -231,3 +262,57 @@ def test_unwritable_path_exits_4(tmp_path, capsys):
     # output "directory" is an existing regular file
     assert main(["atlas", "--delta", "0.9", "--out", str(blocker)]) == 4
     capsys.readouterr()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--cutoffs", "85,100"],
+        ["groundstate", "--u", "H", "--cutoff", "150", "--wigner", "--grid=-18:18:271"],
+    ],
+    ids=["sweep", "groundstate"],
+)
+def test_results_independent_of_blas_threads(tmp_path, args):
+    # one and two OpenBLAS threads give different last bits in eigh and
+    # in the Wigner products unless the CLI runs on one thread
+    files = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=SRC)
+        subprocess.run(
+            [sys.executable, "-m", "gkpkit.cli", *args, "--out", str(out)],
+            cwd=tmp_path, env=env, check=True, capture_output=True,
+        )
+        files[threads] = {
+            path.name: _strip_timestamps(path) for path in sorted(out.iterdir())
+        }
+    assert files[1].keys() == files[2].keys() and files[1]
+    for name in files[1]:
+        assert files[1][name] == files[2][name], name
+
+
+def test_main_pins_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*")
+    if not libs:
+        pytest.skip("numpy ships no bundled OpenBLAS")
+    lib = ctypes.CDLL(libs[0])
+    get = lib.scipy_openblas_get_num_threads64_
+    put = lib.scipy_openblas_set_num_threads64_
+    inside = []
+
+    def probe(args):
+        inside.append(get())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_atlas", probe)
+    before = get()
+    put(2)
+    try:
+        assert main(["atlas", "--out", str(tmp_path)]) == 0
+        assert inside == [1]
+        assert get() == 2
+    finally:
+        put(before)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gkpkit import sweep
-from gkpkit.bloch import Atlas, core_states, order_greedy
+from gkpkit.bloch import Atlas, core_states
 from gkpkit.cli import main
 from gkpkit.errors import (
     DegenerateInputError,
@@ -69,22 +69,6 @@ def test_run_sweep_rejects_bad_cutoffs():
         run_sweep(atlas, [50, 30])
     with pytest.raises(InvalidArgumentError):
         run_sweep(atlas, [50, 50])
-
-
-def test_parallel_equivalence():
-    atlas = order_greedy(
-        Atlas(points=np.array([vec for _, vec in core_states()]), labels=[""] * 26)
-    )
-    serial = run_sweep(atlas, [20, 30], workers=1)
-    parallel = run_sweep(atlas, [20, 30], workers=2)
-    for n in (20, 30):
-        np.testing.assert_array_equal(
-            serial.expectation[n], parallel.expectation[n]
-        )
-        np.testing.assert_array_equal(
-            serial.ground_energies[n], parallel.ground_energies[n]
-        )
-    assert serial.parity_gap == parallel.parity_gap
 
 
 def test_sweep_determinism(stabilizer_record):
