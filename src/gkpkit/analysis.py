@@ -1,14 +1,10 @@
 """Regression, mutual information and slope extrapolation for sweep records."""
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 from scipy.spatial import cKDTree
-from scipy.special import digamma
-from scipy.stats import pearsonr
 
 from .errors import InvalidArgumentError, NumericalFailureError
 
@@ -30,14 +26,16 @@ class ExtrapolationResult:
     rate: float
     window_mean: float
     window_std: float
+    failed_windows: list  # {"start": N, "reason": text} per window not fitted
 
 
 def ksg_mutual_information(xs, ys, k=4):
     """KSG (variant 1) mutual information estimate in nats.
 
     I = psi(k) + psi(M) - <psi(n_x + 1) + psi(n_y + 1)>, where n_x and n_y
-    count strict max-norm neighbors within the k-th joint neighbor distance.
-    Duplicate joint points are broken by a deterministic 1e-12 jitter.
+    count strict max-norm neighbors within the k-th joint neighbor distance;
+    psi(n) = H_(n-1) - gamma, and the gamma terms cancel, leaving harmonic
+    numbers H. Duplicate joint points are broken by a 1e-12 seeded jitter.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -63,8 +61,9 @@ def ksg_mutual_information(xs, ys, k=4):
     n_y = np.array(
         tree_y.query_ball_point(ys[:, None], eps - 1e-15, p=np.inf, return_length=True)
     ) - 1
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, m + 1))))
     return float(
-        digamma(k) + digamma(m) - np.mean(digamma(n_x + 1) + digamma(n_y + 1))
+        harmonic[k - 1] + harmonic[m - 1] - np.mean(harmonic[n_x] + harmonic[n_y])
     )
 
 
@@ -77,7 +76,7 @@ def regression_per_cutoff(record, ksg_k=4):
     for cutoff in record.cutoffs:
         y = record.expectation[cutoff].ravel()
         slope, intercept = np.polyfit(x, y, 1)
-        r = pearsonr(x, y).statistic
+        r = np.corrcoef(x, y)[0, 1]
         mi = ksg_mutual_information(x, y, k=ksg_k)
         stats[cutoff] = RegressionStats(
             slope=float(slope),
@@ -88,59 +87,59 @@ def regression_per_cutoff(record, ksg_k=4):
     return stats
 
 
-def _power_law(n, m_inf, amplitude, rate):
-    return m_inf - amplitude * np.asarray(n, dtype=float) ** (-rate)
-
-
 _RATE_BOUNDS = (0.1, 10.0)
 
 
+def _project(ns, ms, rates):
+    """Least-squares m_inf, A and residual sum of squares of m = m_inf - A n^(-d)
+    at each rate d, by a centred regression on n^(-d) (variable projection)."""
+    x = ns ** -rates[:, None]
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = ms - ms.mean()
+    amplitude = -(xc @ yc) / np.sum(xc * xc, axis=1)
+    resid = yc + amplitude[:, None] * xc
+    return ms.mean() + amplitude * x.mean(axis=1), amplitude, np.sum(resid**2, axis=1)
+
+
 def _fit_window(ns, ms):
-    m0 = float(np.max(ms))
-    # two-point amplitude estimate at rate 1
-    a0 = max((m0 - ms[0]) * ns[0], 1e-6)
-    # rate bounded away from 0 to exclude the degenerate flat-plateau fit
-    popt, _ = curve_fit(
-        _power_law,
-        ns,
-        ms,
-        p0=(m0, a0, 1.0),
-        bounds=([-np.inf, 1e-12, _RATE_BOUNDS[0]], [np.inf, np.inf, _RATE_BOUNDS[1]]),
-        maxfev=20_000,
-    )
-    if min(popt[2] - _RATE_BOUNDS[0], _RATE_BOUNDS[1] - popt[2]) < 1e-6:
-        # rate pinned at a bound: the window does not identify the power law
-        raise RuntimeError(f"saturation rate {popt[2]:.3g} pinned at bound")
-    return popt
+    """(m_inf, A, d) of one window, or RuntimeError. d comes from a log grid over
+    _RATE_BOUNDS and four zoom grids over the cells beside the best point, each
+    200 times narrower (a fifth moves window_mean on the desk slopes by 1e-14)."""
+    rates = np.geomspace(*_RATE_BOUNDS, 401)
+    best = int(np.argmin(_project(ns, ms, rates)[2]))
+    if best in (0, rates.size - 1):
+        raise RuntimeError(f"saturation rate {rates[best]:.3g} pinned at bound")
+    for _ in range(4):
+        rates = np.linspace(rates[best - 1], rates[best + 1], 401)
+        m_inf, amplitude, rss = _project(ns, ms, rates)
+        best = int(np.argmin(rss))
+    if not amplitude[best] > 0:
+        raise RuntimeError(f"amplitude {amplitude[best]:.3g} is not positive")
+    return m_inf[best], amplitude[best], rates[best]
 
 
-def extrapolate_slope(slopes, n_min=None, n_max=None, window_floor=20):
+def extrapolate_slope(slopes):
     """Saturating power-law extrapolation m(N) = m_inf - A N^(-d).
 
-    Fits the widest window [n_min, n_max] for the headline numbers, then
-    repeats the fit for every admissible window start above `window_floor`
-    and reports the mean and standard deviation of m_inf across windows.
+    Fits every window [start, max N] with a start above N = 20 and at least
+    five cutoffs (all cutoffs when no start qualifies). The headline m_inf,
+    A and d are those of the widest window fitted; window_mean and
+    window_std are taken over the windows fitted. A window whose best d
+    sits at an end of [0.1, 10], or whose best A is not positive, goes to
+    `failed_windows` with its reason.
     """
     ns = np.array(sorted(slopes), dtype=float)
-    if n_min is not None:
-        ns = ns[ns >= n_min]
-    if n_max is not None:
-        ns = ns[ns <= n_max]
     ms = np.array([slopes[int(n)] for n in ns])
     if ns.size < 5:
-        raise InvalidArgumentError("need at least 5 cutoffs inside the window")
-    window_starts = [n for n in ns if n > window_floor and np.sum(ns >= n) >= 5]
-    if not window_starts:
-        window_starts = [ns[0]]
-    winners = []
+        raise InvalidArgumentError("need at least 5 cutoffs")
+    window_starts = [n for n in ns if n > 20 and np.sum(ns >= n) >= 5] or [ns[0]]
+    winners, failed = [], []
     for start in window_starts:
-        sel = ns >= start
         try:
-            popt = _fit_window(ns[sel], ms[sel])
+            winners.append(_fit_window(ns[ns >= start], ms[ns >= start]))
         except RuntimeError as exc:
             log.warning("power-law fit failed for window start %s: %s", start, exc)
-            continue
-        winners.append(popt)
+            failed.append({"start": int(start), "reason": str(exc)})
     if not winners:
         raise NumericalFailureError(
             "power-law fit failed for every window", windows=len(window_starts)
@@ -153,4 +152,5 @@ def extrapolate_slope(slopes, n_min=None, n_max=None, window_floor=20):
         rate=float(head[2]),
         window_mean=float(m_infs.mean()),
         window_std=float(m_infs.std()),
+        failed_windows=failed,
     )

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import glob
 import math
 import os
@@ -171,8 +172,8 @@ def cmd_sweep(args):
     done = {}
     if args.resume and os.path.exists(path):
         old = io_utils.read_sweep(path)
-        if old.get("delta") == args.delta and old.get("seed") == args.seed:
-            done = old.get("per_cutoff", {})
+        if old["delta"] == args.delta and old["seed"] == args.seed:
+            done = old["per_cutoff"]
         else:
             print("resume: config mismatch, recomputing everything", file=sys.stderr)
     todo = [n for n in cutoffs if str(n) not in done]
@@ -248,14 +249,7 @@ def cmd_analyze(args):
     )
     slopes = {n: s.slope for n, s in stats.items()}
     if len(slopes) >= 5:
-        result = analysis.extrapolate_slope(slopes)
-        extrapolation = {
-            "m_infinity": result.m_infinity,
-            "amplitude": result.amplitude,
-            "rate": result.rate,
-            "window_mean": result.window_mean,
-            "window_std": result.window_std,
-        }
+        extrapolation = dataclasses.asdict(analysis.extrapolate_slope(slopes))
     else:
         extrapolation = {
             "skipped": f"need at least 5 cutoffs for extrapolation, got {len(slopes)}"

@@ -14,7 +14,7 @@ class DegenerateInputError(InvalidArgumentError):
 
 
 class NumericalFailureError(GkpError):
-    """A numerical routine (eigensolver, curve fit) failed to converge."""
+    """A numerical routine (eigensolver, power-law fit) failed."""
 
     def __init__(self, message, **diagnostics):
         super().__init__(message)

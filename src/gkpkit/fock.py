@@ -5,9 +5,10 @@ p = i(a^dag - a)/sqrt(2) and the vacuum has Var(x) = Var(p) = 1/2.
 Operators are plain complex numpy arrays; states are 1-D complex arrays.
 """
 
+import math
+
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
-from scipy.special import gammaln
 
 from .errors import InvalidArgumentError, NumericalFailureError
 
@@ -126,7 +127,8 @@ def displacement_matrix(alpha, cutoff):
     # scaled[n, k] = sqrt(n!/(n+k)!) |alpha|^k e^(-|alpha|^2/2) L_n^(k)(|alpha|^2),
     # a bounded element of the untruncated matrix; only n + k < cutoff is kept
     scaled = np.empty((cutoff, cutoff))
-    scaled[0] = np.exp(k * log_mod - 0.5 * mod2 - 0.5 * gammaln(k + 1))
+    log_factorial = np.array([math.lgamma(j + 1) for j in range(cutoff)])
+    scaled[0] = np.exp(k * log_mod - 0.5 * mod2 - 0.5 * log_factorial)
     if cutoff > 1:
         scaled[1] = (k + 1 - mod2) * scaled[0] / np.sqrt(k + 1)
     # coefficients of the steps n -> n + 1 for n = 1 .. cutoff-2 (row n - 1)

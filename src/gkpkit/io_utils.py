@@ -51,7 +51,7 @@ def read_sweep(path):
     """The sweep.json document at path, a dict of the current schema version.
 
     Raises SchemaVersionError when the file is corrupt, is not a JSON
-    object, or carries another schema version.
+    object, carries another schema version, or lacks a key sweep writes.
     """
     try:
         with open(path) as fh:
@@ -65,6 +65,10 @@ def read_sweep(path):
             f"unknown sweep schema version {doc.get('schema_version')!r}; "
             f"expected {SWEEP_SCHEMA_VERSION}"
         )
+    keys = {"delta", "seed", "cutoffs", "atlas", "infidelity", "per_cutoff"}
+    if not keys <= doc.keys() or not isinstance(doc["per_cutoff"], dict):
+        bad = sorted(keys - doc.keys()) or ["per_cutoff"]
+        raise SchemaVersionError(f"corrupt sweep file {path}: missing or bad {bad}")
     return doc
 
 

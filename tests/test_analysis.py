@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from gkpkit.analysis import (
     extrapolate_slope,
@@ -71,6 +72,30 @@ def test_ksg_handles_duplicates():
     assert np.isfinite(got)
 
 
+def _ksg_brute_force(xs, ys, k=4):
+    """O(M^2) KSG with the same jitter rule, counts and digamma."""
+    joint = np.column_stack((xs, ys))
+    if np.unique(joint, axis=0).shape[0] < xs.size:
+        joint = joint + 1e-12 * np.random.default_rng(0).standard_normal(joint.shape)
+        xs, ys = joint[:, 0], joint[:, 1]
+    dx = np.abs(xs[:, None] - xs[None, :])
+    dy = np.abs(ys[:, None] - ys[None, :])
+    eps = np.sort(np.maximum(dx, dy), axis=1)[:, k] - 1e-15
+    n_x = np.sum(dx <= eps[:, None], axis=1) - 1
+    n_y = np.sum(dy <= eps[:, None], axis=1) - 1
+    return digamma(k) + digamma(xs.size) - np.mean(digamma(n_x + 1) + digamma(n_y + 1))
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_ksg_matches_brute_force_with_ties(k):
+    rng = np.random.default_rng(3)
+    xs = np.round(rng.standard_normal(300), 1)  # ties in x
+    noise = 0.6 * rng.standard_normal(300)
+    for ys in (0.8 * xs + noise, np.round(0.8 * xs + noise, 2)):  # + joint ties
+        got = ksg_mutual_information(xs, ys, k=k)
+        assert abs(got - _ksg_brute_force(xs, ys, k)) <= 1e-12
+
+
 def test_ksg_input_validation():
     with pytest.raises(InvalidArgumentError):
         ksg_mutual_information([1, 2, 3], [1, 2])
@@ -105,5 +130,44 @@ def test_extrapolation_needs_five_cutoffs():
 def test_extrapolation_window_restriction():
     ns = np.arange(25, 151, 5)
     slopes = {int(n): 2.0 - 5.0 / n for n in ns}
-    result = extrapolate_slope(slopes, n_min=50, n_max=120)
+    result = extrapolate_slope({n: m for n, m in slopes.items() if 50 <= n <= 120})
     assert result.m_infinity == pytest.approx(2.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.7, 1.0, 2.3])
+def test_extrapolation_recovers_exact_power_laws(rate):
+    slopes = {int(n): 2.0 - 5.0 * float(n) ** -rate for n in range(25, 151, 5)}
+    result = extrapolate_slope(slopes)
+    assert abs(result.m_infinity - 2.0) <= 1e-10
+    assert abs(result.amplitude / 5.0 - 1.0) <= 1e-10
+    assert abs(result.rate - rate) <= 1e-10
+    assert abs(result.window_mean - 2.0) <= 1e-10
+    assert result.failed_windows == []
+
+
+def test_extrapolation_insensitive_to_last_bits():
+    rng = np.random.default_rng(0)
+    slopes = {
+        n: 2.0 - 2.7 * n**-0.8 + 2e-3 * rng.standard_normal() for n in range(5, 121, 5)
+    }
+    reference = extrapolate_slope(slopes)
+    for seed in range(5):
+        jitter = np.random.default_rng(100 + seed)
+        perturbed = {
+            n: m * (1 + 1e-15 * jitter.standard_normal()) for n, m in slopes.items()
+        }
+        result = extrapolate_slope(perturbed)
+        assert abs(result.window_mean - reference.window_mean) <= 1e-8
+        assert result.failed_windows == reference.failed_windows
+
+
+def test_extrapolation_records_failed_windows():
+    # from N = 100 on, a decaying power law: the windows there fit A = -5
+    slopes = {
+        n: 2.0 - 5.0 / n if n <= 100 else 1.9 + 5.0 / n for n in range(25, 151, 5)
+    }
+    result = extrapolate_slope(slopes)
+    reasons = {w["start"]: w["reason"] for w in result.failed_windows}
+    assert sorted(reasons) == list(range(70, 131, 5))
+    assert all("pinned at bound" in reasons[n] for n in range(70, 100, 5))
+    assert all(reasons[n] == "amplitude -5 is not positive" for n in range(100, 131, 5))

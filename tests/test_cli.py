@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import glob
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from gkpkit import cli
+from gkpkit.analysis import ExtrapolationResult
 from gkpkit.bloch import core_states
 from gkpkit.cli import load_sweep, main, parse_bloch, parse_cutoffs, parse_grid
 from gkpkit.errors import InvalidArgumentError
@@ -201,7 +203,15 @@ def test_analyze_rejects_corrupt_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text", ['{"schema_version": 1, "per_cut', "[1, 2]"], ids=["truncated", "list"]
+    "text",
+    [
+        '{"schema_version": 1, "per_cut',
+        "[1, 2]",
+        '{"schema_version": 1}',
+        '{"schema_version": 1, "delta": 0.35, "seed": 0, "cutoffs": [10], '
+        '"atlas": {}, "infidelity": [], "per_cutoff": []}',
+    ],
+    ids=["truncated", "list", "missing_keys", "per_cutoff_list"],
 )
 def test_bad_sweep_file_exits_2_on_resume_and_analyze(tmp_path, capsys, text):
     bad = tmp_path / "sweep.json"
@@ -211,6 +221,23 @@ def test_bad_sweep_file_exits_2_on_resume_and_analyze(tmp_path, capsys, text):
     assert bad.read_text() == text
     assert main(["analyze", "--sweep", str(bad), "--out", str(tmp_path / "an")]) == 2
     assert "corrupt sweep file" in capsys.readouterr().err
+
+
+def test_analyze_writes_failed_windows(tmp_path):
+    sw = tmp_path / "sw"
+    an = tmp_path / "an"
+    args = ["sweep", "--delta", "1.2", "--cutoffs", "60:100:5", "--seed", "2"]
+    assert main(args + ["--out", str(sw)]) == 0
+    assert main(["analyze", "--sweep", str(sw / "sweep.json"), "--out", str(an)]) == 0
+    with open(an / "extrapolation.json") as fh:
+        doc = json.load(fh)
+    fields = {f.name for f in dataclasses.fields(ExtrapolationResult)}
+    assert set(doc) == fields | {"metadata"}
+    # the window 80-100 is best fitted by the steepest rate allowed
+    assert doc["failed_windows"] == [
+        {"start": 80, "reason": "saturation rate 10 pinned at bound"}
+    ]
+    assert 1.9 <= doc["window_mean"] <= 2.1
 
 
 def test_bound_command(tmp_path):
@@ -292,6 +319,16 @@ def test_results_independent_of_blas_threads(tmp_path, args):
     assert files[1].keys() == files[2].keys() and files[1]
     for name in files[1]:
         assert files[1][name] == files[2][name], name
+
+
+def test_cli_import_loads_no_scipy_stats():
+    code = "import sys, gkpkit.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_main_pins_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
