@@ -4,7 +4,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError, NumericalFailureError
 
@@ -44,6 +43,8 @@ def ksg_mutual_information(xs, ys, k=4):
     m = xs.size
     if m < k + 1:
         raise InvalidArgumentError(f"need at least k+1 = {k + 1} samples, got {m}")
+    from scipy.spatial import cKDTree  # here, so that only analyze imports scipy
+
     joint = np.column_stack((xs, ys))
     if np.unique(joint, axis=0).shape[0] < m:
         log.info("duplicate sample points; applying 1e-12 jitter")

@@ -296,21 +296,23 @@ def cmd_bound(args):
         "rmax": args.rmax,
         "seed": args.seed,
     }
+    numeric, argmin = gaussian.minimize_over_gaussians(
+        np.array([u for _, u in targets]), budget=args.budget, seed=args.seed,
+        r_max=args.rmax,
+    )
     rows = []
     worst = 0.0
-    for label, u in targets:
+    for i, (label, u) in enumerate(targets):
         analytic = gaussian.gaussian_bound(u)
-        numeric, argmin = gaussian.minimize_over_gaussians(
-            u, budget=args.budget, seed=args.seed, r_max=args.rmax
-        )
-        gap = numeric - analytic
+        gap = numeric[i] - analytic
         worst = max(worst, abs(gap))
         rows.append(
             (
                 label,
                 _fmt(u[0]), _fmt(u[1]), _fmt(u[2]),
-                _fmt(analytic), _fmt(numeric), _fmt(gap),
-                _fmt(argmin.x0), _fmt(argmin.p0), _fmt(argmin.r), _fmt(argmin.theta),
+                _fmt(analytic), _fmt(numeric[i]), _fmt(gap),
+                _fmt(argmin.x0[i]), _fmt(argmin.p0[i]), _fmt(argmin.r[i]),
+                _fmt(argmin.theta[i]),
             )
         )
     io_utils.write_csv(

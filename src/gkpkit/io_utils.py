@@ -32,7 +32,7 @@ def write_csv(path, fieldnames, rows, config):
     writer.writerow(fieldnames)
     for row in rows:
         writer.writerow(row)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}: {value}\n")
         fh.write(buf.getvalue())
@@ -42,7 +42,7 @@ def write_json(path, payload, config):
     """JSON file with a 'metadata' block holding the config echo."""
     doc = {"metadata": metadata_block(config)}
     doc.update(payload)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -51,10 +51,11 @@ def read_sweep(path):
     """The sweep.json document at path, a dict of the current schema version.
 
     Raises SchemaVersionError when the file is corrupt, is not a JSON
-    object, carries another schema version, or lacks a key sweep writes.
+    object, carries another schema version, or lacks a key sweep writes,
+    at the top level, in the atlas or in a per-cutoff block.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaVersionError(f"corrupt sweep file {path}: {exc}") from exc
@@ -69,13 +70,21 @@ def read_sweep(path):
     if not keys <= doc.keys() or not isinstance(doc["per_cutoff"], dict):
         bad = sorted(keys - doc.keys()) or ["per_cutoff"]
         raise SchemaVersionError(f"corrupt sweep file {path}: missing or bad {bad}")
+    blocks = [(doc["atlas"], {"points", "labels", "delta", "seed"})]
+    for block in doc["per_cutoff"].values():
+        blocks.append((block, {"expectation", "ground_energies"}))
+    for block, wanted in blocks:
+        if not isinstance(block, dict) or not wanted <= block.keys():
+            raise SchemaVersionError(
+                f"corrupt sweep file {path}: a block lacks one of {sorted(wanted)}"
+            )
     return doc
 
 
 def read_csv(path):
     """Read a metadata-prefixed CSV; returns (metadata, header, rows)."""
     meta = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     body_start = 0
     for i, line in enumerate(lines):

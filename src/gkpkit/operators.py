@@ -23,7 +23,7 @@ from .fock import (
     hermitize,
 )
 
-# a Python float: gaussian_R, the bound search's scalar hot loop, uses it
+# the one sqrt(pi) of the package: stabilizer phases and the Gaussian sums
 SQRT_PI = math.sqrt(math.pi)
 
 # Displacement amplitude of e^(i(u*x + v*p)) is alpha = (-v + i*u)/sqrt(2).

@@ -210,8 +210,14 @@ def test_analyze_rejects_corrupt_file(tmp_path):
         '{"schema_version": 1}',
         '{"schema_version": 1, "delta": 0.35, "seed": 0, "cutoffs": [10], '
         '"atlas": {}, "infidelity": [], "per_cutoff": []}',
+        '{"schema_version": 1, "delta": 0.35, "seed": 0, "cutoffs": [10], '
+        '"atlas": {}, "infidelity": [], "per_cutoff": {}}',
+        '{"schema_version": 1, "delta": 0.35, "seed": 0, "cutoffs": [5], '
+        '"atlas": {"points": [], "labels": [], "delta": 0.35, "seed": 0}, '
+        '"infidelity": [], "per_cutoff": {"5": {}}}',
     ],
-    ids=["truncated", "list", "missing_keys", "per_cutoff_list"],
+    ids=["truncated", "list", "missing_keys", "per_cutoff_list", "empty_atlas",
+         "empty_cutoff_block"],
 )
 def test_bad_sweep_file_exits_2_on_resume_and_analyze(tmp_path, capsys, text):
     bad = tmp_path / "sweep.json"
@@ -329,6 +335,19 @@ def test_cli_import_loads_no_scipy_stats():
         env=env, check=True, capture_output=True, text=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import gkpkit.cli, sys; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_main_pins_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
