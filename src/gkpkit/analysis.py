@@ -28,6 +28,53 @@ class ExtrapolationResult:
     failed_windows: list  # {"start": N, "reason": text} per window not fitted
 
 
+def _kth_neighbour_distance(xs, ys, k):
+    """Exact max-norm distance from each point to its k-th nearest other point.
+
+    With the points sorted by x, each round merges the index offsets +-r ...
+    +-(r + 15) into every unfinished point's k best. A point is done once its
+    k-th best is <= |dx| at the next offset on both sides, as |dx| only grows
+    further out; indices past either end read x = +-inf."""
+    m, order = xs.size, np.argsort(xs, kind="stable")
+    x, y = (np.append(v[order], (np.inf, -np.inf)) for v in (xs, ys))
+    kth, active, best = np.empty(m), np.arange(m), np.full((m, k), np.inf)
+    for r in range(1, m, 16):
+        offsets = np.arange(r, r + 16)
+        j = (active[:, None] + np.concatenate((offsets, -offsets))).clip(-1, m)
+        d = np.maximum(abs(x[j] - x[active, None]), abs(y[j] - y[active, None]))
+        best = np.partition(np.hstack((best, d)), k - 1, axis=1)[:, :k]
+        gap = np.minimum(
+            x[(active + r + 16).clip(max=m)] - x[active],
+            x[active] - x[(active - r - 16).clip(min=-1)],
+        )
+        done = best[:, k - 1] <= gap
+        kth[order[active[done]]] = best[done, k - 1]
+        active, best = active[~done], best[~done]
+        if not active.size:
+            return kth
+
+
+def _count_within(values, radius):
+    """For each entry v, the number of entries s with |s - v| <= radius, as
+    written. searchsorted finds the ends to within rounding; |s - v| is
+    monotone on each side of v, so the ends then step over distinct values."""
+    u, counts = np.unique(values, return_counts=True)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    mid = np.searchsorted(u, values)
+    lo = np.minimum(np.searchsorted(u, values - radius), mid)
+    hi = np.maximum(np.searchsorted(u, values + radius, "right"), mid + 1)
+
+    def near(j):
+        return abs(u[j.clip(0, u.size - 1)] - values) <= radius
+
+    while True:
+        new_lo = lo - ((lo > 0) & near(lo - 1)) + ((lo < mid) & ~near(lo))
+        new_hi = hi + ((hi < u.size) & near(hi)) - ((hi > mid + 1) & ~near(hi - 1))
+        if (new_lo == lo).all() and (new_hi == hi).all():
+            return starts[hi] - starts[lo]
+        lo, hi = new_lo, new_hi
+
+
 def ksg_mutual_information(xs, ys, k=4):
     """KSG (variant 1) mutual information estimate in nats.
 
@@ -41,27 +88,18 @@ def ksg_mutual_information(xs, ys, k=4):
     if xs.size != ys.size:
         raise InvalidArgumentError("xs and ys must have the same length")
     m = xs.size
-    if m < k + 1:
-        raise InvalidArgumentError(f"need at least k+1 = {k + 1} samples, got {m}")
-    from scipy.spatial import cKDTree  # here, so that only analyze imports scipy
-
+    if not 1 <= k < m:
+        raise InvalidArgumentError(f"need 1 <= k < samples, got k = {k}, {m} samples")
     joint = np.column_stack((xs, ys))
-    if np.unique(joint, axis=0).shape[0] < m:
+    sx, sy = joint[np.lexsort((ys, xs))].T  # -0.0 and 0.0 tie, as in np.unique
+    if np.any((sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])):
         log.info("duplicate sample points; applying 1e-12 jitter")
         rng = np.random.default_rng(0)
         joint = joint + 1e-12 * rng.standard_normal(joint.shape)
         xs, ys = joint[:, 0], joint[:, 1]
-    tree_joint = cKDTree(joint)
-    dists, _ = tree_joint.query(joint, k=k + 1, p=np.inf)
-    eps = dists[:, k]
-    tree_x = cKDTree(xs[:, None])
-    tree_y = cKDTree(ys[:, None])
-    n_x = np.array(
-        tree_x.query_ball_point(xs[:, None], eps - 1e-15, p=np.inf, return_length=True)
-    ) - 1
-    n_y = np.array(
-        tree_y.query_ball_point(ys[:, None], eps - 1e-15, p=np.inf, return_length=True)
-    ) - 1
+    radius = _kth_neighbour_distance(xs, ys, k) - 1e-15
+    n_x = _count_within(xs, radius) - 1
+    n_y = _count_within(ys, radius) - 1
     harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, m + 1))))
     return float(
         harmonic[k - 1] + harmonic[m - 1] - np.mean(harmonic[n_x] + harmonic[n_y])

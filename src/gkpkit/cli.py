@@ -141,10 +141,8 @@ def cmd_groundstate(args):
             axis = np.linspace(-half_width, half_width, math.ceil(20 * half_width) + 1)
         grid = wigner_fn(state, axis, axis)
         summary["wigner_mass"] = grid.mass()
-        rows = (
-            (_fmt(x), _fmt(p), _fmt(grid.values[i, j]))
-            for i, x in enumerate(axis)
-            for j, p in enumerate(axis)
+        rows = np.column_stack(
+            (np.repeat(axis, axis.size), np.tile(axis, axis.size), grid.values.ravel())
         )
         io_utils.write_csv(
             os.path.join(out, "wigner.csv"), ("x", "p", "W"), rows, config
@@ -258,9 +256,8 @@ def cmd_analyze(args):
     io_utils.write_json(os.path.join(out, "extrapolation.json"), extrapolation, config)
 
     def dump_matrix(name, matrix):
-        rows = [tuple(_fmt(v) for v in row) for row in matrix]
         header = tuple(f"j{j}" for j in range(matrix.shape[1]))
-        io_utils.write_csv(os.path.join(out, name), header, rows, config)
+        io_utils.write_csv(os.path.join(out, name), header, matrix, config)
 
     dump_matrix("infidelity.csv", record.infidelity)
     dump_matrix("infidelity_normalized.csv", sweep.normalize_matrix(record.infidelity))

@@ -38,12 +38,6 @@ def covariance_from_params(g):
     return sxx, sxp, spp
 
 
-def variance_x_minus_p(g):
-    """Var(x - p) = sxx - 2 sxp + spp."""
-    sxx, sxp, spp = covariance_from_params(g)
-    return sxx - 2 * sxp + spp
-
-
 def gaussian_R(g, u):
     """The six-term characteristic-function sum R; <O_GKP> = 2 - R.
 

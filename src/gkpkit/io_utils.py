@@ -1,9 +1,12 @@
 """CSV/JSON persistence with a reproducible metadata block."""
 
+import contextlib
 import csv
-import io
 import json
+import os
 from datetime import datetime, timezone
+
+import numpy as np
 
 from .errors import SchemaVersionError
 
@@ -19,30 +22,48 @@ def metadata_block(config):
     return meta
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Text handle on path + '.tmp', moved onto path once the block ends, so
+    an error part-way leaves no partial file and any old file unchanged."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(path, fieldnames, rows, config):
     """CSV file preceded by '# key: value' metadata comment lines.
 
+    rows is an iterable of rows for csv.writer, or a 2-D float array whose
+    values are written as repr of Python floats, 1024 rows at a time.
     Everything after the metadata block is a deterministic function of the
     rows; the timestamp lives on its own comment line so that files from
     identical configs differ only there.
     """
-    meta = metadata_block(config)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow(row)
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in meta.items():
+    with _replacing(path) as fh:
+        for key, value in metadata_block(config).items():
             fh.write(f"# {key}: {value}\n")
-        fh.write(buf.getvalue())
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        if not isinstance(rows, np.ndarray):
+            writer.writerows(rows)
+            return
+        for start in range(0, len(rows), 1024):
+            block = rows[start:start + 1024].astype(float).tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block))
 
 
 def write_json(path, payload, config):
     """JSON file with a 'metadata' block holding the config echo."""
     doc = {"metadata": metadata_block(config)}
     doc.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -96,11 +96,53 @@ def test_ksg_matches_brute_force_with_ties(k):
         assert abs(got - _ksg_brute_force(xs, ys, k)) <= 1e-12
 
 
+def _ksg_kd_tree(xs, ys, k):
+    """The estimator as written with scipy's k-d tree: same jitter rule,
+    neighbour counts by query_ball_point and harmonic-number table."""
+    from scipy.spatial import cKDTree
+
+    m = xs.size
+    joint = np.column_stack((xs, ys))
+    if np.unique(joint, axis=0).shape[0] < m:
+        joint = joint + 1e-12 * np.random.default_rng(0).standard_normal(joint.shape)
+        xs, ys = joint[:, 0], joint[:, 1]
+    eps = cKDTree(joint).query(joint, k=k + 1, p=np.inf)[0][:, k] - 1e-15
+    counts = [
+        cKDTree(v[:, None]).query_ball_point(
+            v[:, None], eps, p=np.inf, return_length=True
+        ) - 1
+        for v in (xs, ys)
+    ]
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, m + 1))))
+    return float(
+        harmonic[k - 1] + harmonic[m - 1]
+        - np.mean(harmonic[counts[0]] + harmonic[counts[1]])
+    )
+
+
+@pytest.mark.parametrize("k", [1, 4, 17, 40])
+def test_ksg_equals_kd_tree_estimator(k):
+    rng = np.random.default_rng(k)
+    sets = []
+    for m in (k + 1, k + 2, 300):
+        xs = rng.standard_normal(m)
+        sets.append((xs, 0.7 * xs + rng.standard_normal(m)))  # untied
+        ints = rng.integers(0, 6, size=(2, m)).astype(float)
+        sets.append((ints[0], ints[0] + ints[1]))  # ties in x, y and joint
+        sets.append((1000 + ints[0], ints[1]))  # ties where rounding bites
+        signs = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        sets.append((signs * ints[0] * (ints[0] < 2), signs * ints[1]))  # +-0.0
+    for xs, ys in sets:
+        assert ksg_mutual_information(xs, ys, k=k) == _ksg_kd_tree(xs, ys, k)
+
+
 def test_ksg_input_validation():
     with pytest.raises(InvalidArgumentError):
         ksg_mutual_information([1, 2, 3], [1, 2])
     with pytest.raises(InvalidArgumentError):
         ksg_mutual_information([1, 2, 3], [1, 2, 3], k=4)
+    with pytest.raises(InvalidArgumentError):
+        ksg_mutual_information([1, 2, 3], [1, 2, 3], k=0)
 
 
 def test_extrapolation_exact_recovery():

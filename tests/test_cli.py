@@ -350,6 +350,23 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_analyze_loads_no_scipy(tmp_path):
+    sw = tmp_path / "sw"
+    assert main(["sweep", "--delta", "1.2", "--cutoffs", "10,20", "--out", str(sw)]) == 0
+    code = (
+        "import sys; from gkpkit.cli import main; "
+        f"code = main(['analyze', '--sweep', {str(sw / 'sweep.json')!r}, "
+        f"'--out', {str(tmp_path / 'an')!r}]); "
+        "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert done.stdout.split("\n")[-2] == "0 []"
+
+
 def test_main_pins_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
     libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*")
     if not libs:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gkpkit.errors import InvalidArgumentError
-from gkpkit.fock import expectation
+from gkpkit.fock import displacement_matrix, expectation, quadrature_matrix
 from gkpkit.gaussian import (
     GaussianPureParams,
     covariance_from_params,
@@ -14,7 +14,6 @@ from gkpkit.gaussian import (
     minimize,
     minimize_over_gaussians,
     squeezed_vacuum_fock,
-    variance_x_minus_p,
 )
 from gkpkit.operators import gkp_operator
 
@@ -36,8 +35,8 @@ def test_covariance_squeezed():
 
 
 def test_variance_x_minus_p_minimized_at_diagonal_angle():
-    g = GaussianPureParams(0, 0, 1.0, -math.pi / 4)
-    assert variance_x_minus_p(g) == pytest.approx(math.exp(-2))
+    sxx, sxp, spp = covariance_from_params(GaussianPureParams(0, 0, 1.0, -math.pi / 4))
+    assert sxx - 2 * sxp + spp == pytest.approx(math.exp(-2))
 
 
 def test_purity_invariant():
@@ -70,6 +69,35 @@ def test_gaussian_expectation_matches_fock_route():
             fock_val = expectation(gkp_operator(u, 200), state)
             closed = gaussian_expectation(GaussianPureParams(0, 0, r, 0), u)
             assert abs(fock_val - closed) < 2e-3
+
+
+def test_gaussian_R_matches_displaced_rotated_squeezed_fock_states():
+    # D(alpha) R(phi) S(|r|)|0> with alpha = (x0 + i p0) / sqrt(2); the
+    # rotation e^(-i phi n) takes phi = -theta for r > 0, pi/2 - theta for r < 0
+    kept, padded = 260, 460
+    levels = np.arange(padded)
+    x, p = quadrature_matrix(1, 0, kept), quadrature_matrix(0, 1, kept)
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        x0, p0, r = rng.uniform((-2, -2, -1), (2, 2, 1))
+        theta = rng.uniform(-math.pi, math.pi)
+        phi = -theta if r > 0 else math.pi / 2 - theta
+        squeezed = squeezed_vacuum_fock(abs(r), padded) * np.exp(-1j * phi * levels)
+        state = displacement_matrix((x0 + 1j * p0) / math.sqrt(2), padded) @ squeezed
+        state = state[:kept]
+        mean_x, mean_p = expectation(x, state), expectation(p, state)
+        fock_cov = (
+            expectation(x @ x, state) - mean_x**2,
+            expectation((x @ p + p @ x) / 2, state) - mean_x * mean_p,
+            expectation(p @ p, state) - mean_p**2,
+        )
+        g = GaussianPureParams(x0, p0, r, theta)
+        assert np.max(np.abs(np.subtract(fock_cov, covariance_from_params(g)))) <= 1e-12
+        assert max(abs(mean_x - x0), abs(mean_p - p0)) <= 1e-12
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        fock_val = expectation(gkp_operator(u, kept), state)
+        assert abs(fock_val - gaussian_expectation(g, u)) <= 1e-12
 
 
 def test_squeezed_vacuum_variance():
@@ -173,7 +201,7 @@ def test_lockstep_nelder_mead_matches_scipy_lane_by_lane(monkeypatch):
     assert same_nfev >= 0.95 * len(x0)
 
 
-@pytest.mark.parametrize("budget", [200, 100])
+@pytest.mark.parametrize("budget", [200, 120, 100])
 def test_batched_search_equals_single_target_calls(budget):
     targets = np.array([(0, 0, 1.0), (S2, S2, 0), (S3, S3, S3), (0.6, -0.8, 0)])
     values, params = minimize_over_gaussians(targets, budget=budget, seed=3)
