@@ -62,6 +62,6 @@ from .sweep import (
     normalize_matrix,
     run_sweep,
 )
-from .wigner import WignerGrid, marginal_x, wigner
+from .wigner import WignerGrid, marginal_x
 
 __version__ = "0.1.0"

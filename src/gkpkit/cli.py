@@ -12,9 +12,10 @@ import sys
 import numpy as np
 
 from . import analysis, bloch, gaussian, homodyne, io_utils, operators, sweep
-from .wigner import wigner as wigner_fn
 from .errors import GkpError, InvalidArgumentError, NumericalFailureError
 from .fock import expectation, ground_state
+from .io_utils import load_sweep
+from .wigner import wigner as wigner_fn
 
 EXIT_OK = 0
 EXIT_INVALID_ARGS = 2
@@ -51,19 +52,19 @@ def parse_bloch(text):
 
 def parse_cutoffs(text):
     """Parse '5:150:5' range syntax or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InvalidArgumentError(f"range syntax is start:stop:step, got {text!r}")
-        start, stop, step = (int(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise InvalidArgumentError(f"bad cutoff range {text!r}")
-        return list(range(start, stop + 1, step))
+    ranged = ":" in text
     try:
-        cutoffs = [int(p) for p in text.split(",")]
+        numbers = [int(p) for p in text.split(":" if ranged else ",")]
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot parse cutoffs {text!r}") from exc
-    return cutoffs
+    if not ranged:
+        return numbers
+    if len(numbers) != 3:
+        raise InvalidArgumentError(f"range syntax is start:stop:step, got {text!r}")
+    start, stop, step = numbers
+    if step <= 0 or stop < start:
+        raise InvalidArgumentError(f"bad cutoff range {text!r}")
+    return list(range(start, stop + 1, step))
 
 
 def parse_grid(text):
@@ -71,9 +72,11 @@ def parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidArgumentError(f"grid syntax is min:max:count, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    count = int(parts[2])
-    if hi <= lo or count < 2:
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise InvalidArgumentError(f"cannot parse grid {text!r}") from exc
+    if not -math.inf < lo < hi < math.inf or count < 2:
         raise InvalidArgumentError(f"bad grid spec {text!r}")
     return np.linspace(lo, hi, count)
 
@@ -83,9 +86,12 @@ def _ensure_out(path):
     return path
 
 
-def _fmt(value):
-    """Full-precision decimal text for a real number (numpy or builtin)."""
-    return repr(float(value))
+def _seed(text):
+    """argparse type for --seed: numpy's generators take no negative seed."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def cmd_atlas(args):
@@ -93,9 +99,7 @@ def cmd_atlas(args):
     out = _ensure_out(args.out)
     config = {"command": "atlas", "delta": args.delta, "seed": args.seed}
     rows = [
-        (i, atlas.labels[i], _fmt(atlas.points[i, 0]), _fmt(atlas.points[i, 1]),
-         _fmt(atlas.points[i, 2]), i)
-        for i in range(len(atlas))
+        (i, atlas.labels[i], *atlas.points[i], i) for i in range(len(atlas))
     ]
     io_utils.write_csv(
         os.path.join(out, "atlas.csv"),
@@ -119,6 +123,7 @@ def cmd_atlas(args):
 
 def cmd_groundstate(args):
     u = parse_bloch(args.u)
+    axis = parse_grid(args.grid) if args.wigner and args.grid else None
     energy, state = ground_state(operators.gkp_operator(u, args.cutoff))
     out = _ensure_out(args.out)
     config = {
@@ -127,15 +132,13 @@ def cmd_groundstate(args):
         "cutoff": args.cutoff,
         "bloch": [float(v) for v in u],
     }
-    rows = [(n, _fmt(state[n].real), _fmt(state[n].imag)) for n in range(args.cutoff)]
+    rows = [(n, state[n].real, state[n].imag) for n in range(args.cutoff)]
     io_utils.write_csv(os.path.join(out, "state.csv"), ("n", "re", "im"), rows, config)
     summary = {
         "ground_energy": energy, "bloch": [float(v) for v in u], "cutoff": args.cutoff
     }
     if args.wigner:
-        if args.grid:
-            axis = parse_grid(args.grid)
-        else:
+        if axis is None:
             # the state's support, in steps of at most 0.1
             half_width = homodyne.support_half_width(state)
             axis = np.linspace(-half_width, half_width, math.ceil(20 * half_width) + 1)
@@ -164,79 +167,35 @@ def _sweep_config(args):
 def cmd_sweep(args):
     config = _sweep_config(args)
     cutoffs = config["cutoffs"]
+    atlas = bloch.order_greedy(bloch.sample_sphere(args.delta, args.seed))
     out = _ensure_out(args.out)
     path = os.path.join(out, "sweep.json")
-    atlas = bloch.order_greedy(bloch.sample_sphere(args.delta, args.seed))
-    done = {}
+    old = None
     if args.resume and os.path.exists(path):
-        old = io_utils.read_sweep(path)
-        if old["delta"] == args.delta and old["seed"] == args.seed:
-            done = old["per_cutoff"]
-        else:
+        old = load_sweep(path)
+        if (old.atlas.delta, old.atlas.seed) != (args.delta, args.seed):
             print("resume: config mismatch, recomputing everything", file=sys.stderr)
-    todo = [n for n in cutoffs if str(n) not in done]
-    record = sweep.run_sweep(atlas, todo)
-    per_cutoff = {key: done[key] for key in done if int(key) in cutoffs}
-    for n in todo:
-        per_cutoff[str(n)] = {
-            "expectation": record.expectation[n].tolist(),
-            "ground_energies": record.ground_energies[n].tolist(),
-            "parity_gap": record.parity_gap[n],
-        }
-    payload = {
-        "schema_version": io_utils.SWEEP_SCHEMA_VERSION,
-        "delta": args.delta,
-        "seed": args.seed,
-        "cutoffs": cutoffs,
-        "atlas": {
-            "points": atlas.points.tolist(),
-            "labels": atlas.labels,
-            "delta": atlas.delta,
-            "seed": atlas.seed,
-        },
-        "infidelity": record.infidelity.tolist(),
-        "per_cutoff": per_cutoff,
-    }
-    io_utils.write_json(path, payload, config)
+            old = None
+    kept = [n for n in cutoffs if old is not None and n in old.expectation]
+    record = sweep.run_sweep(atlas, [n for n in cutoffs if n not in kept])
+    record.cutoffs = cutoffs
+    for n in kept:
+        record.expectation[n] = old.expectation[n]
+        record.ground_energies[n] = old.ground_energies[n]
+        if n in old.parity_gap:
+            record.parity_gap[n] = old.parity_gap[n]
+    io_utils.write_sweep(path, record, config)
     print(f"sweep: {len(atlas)} states x {len(cutoffs)} cutoffs -> {path}")
     return EXIT_OK
 
 
-def load_sweep(path):
-    """Rebuild a SweepRecord from sweep.json (read by io_utils.read_sweep)."""
-    doc = io_utils.read_sweep(path)
-    atlas = bloch.Atlas(
-        points=np.array(doc["atlas"]["points"]),
-        labels=doc["atlas"]["labels"],
-        delta=doc["atlas"]["delta"],
-        seed=doc["atlas"]["seed"],
-    )
-    record = sweep.SweepRecord(
-        atlas=atlas,
-        cutoffs=[int(n) for n in doc["cutoffs"]],
-        infidelity=np.array(doc["infidelity"]),
-    )
-    for key, block in doc["per_cutoff"].items():
-        record.expectation[int(key)] = np.array(block["expectation"])
-        record.ground_energies[int(key)] = np.array(block["ground_energies"])
-        if "parity_gap" in block:  # absent from files written before it existed
-            record.parity_gap[int(key)] = block["parity_gap"]
-    return record
-
-
 def cmd_analyze(args):
     record = load_sweep(args.sweep)
-    out = _ensure_out(args.out)
     config = {"command": "analyze", "sweep": args.sweep, "ksg_k": args.ksg_k}
     stats = analysis.regression_per_cutoff(record, ksg_k=args.ksg_k)
+    out = _ensure_out(args.out)
     rows = [
-        (
-            n,
-            _fmt(s.slope),
-            _fmt(s.intercept),
-            _fmt(s.correlation_error),
-            _fmt(s.mutual_information),
-        )
+        (n, s.slope, s.intercept, s.correlation_error, s.mutual_information)
         for n, s in sorted(stats.items())
     ]
     io_utils.write_csv(
@@ -286,7 +245,6 @@ def cmd_bound(args):
             targets.extend(bloch.core_states())
         else:
             targets.append((spec, parse_bloch(spec)))
-    out = _ensure_out(args.out)
     config = {
         "command": "bound",
         "budget": args.budget,
@@ -297,6 +255,7 @@ def cmd_bound(args):
         np.array([u for _, u in targets]), budget=args.budget, seed=args.seed,
         r_max=args.rmax,
     )
+    out = _ensure_out(args.out)
     rows = []
     worst = 0.0
     for i, (label, u) in enumerate(targets):
@@ -304,13 +263,8 @@ def cmd_bound(args):
         gap = numeric[i] - analytic
         worst = max(worst, abs(gap))
         rows.append(
-            (
-                label,
-                _fmt(u[0]), _fmt(u[1]), _fmt(u[2]),
-                _fmt(analytic), _fmt(numeric[i]), _fmt(gap),
-                _fmt(argmin.x0[i]), _fmt(argmin.p0[i]), _fmt(argmin.r[i]),
-                _fmt(argmin.theta[i]),
-            )
+            (label, *u, analytic, numeric[i], gap, argmin.x0[i], argmin.p0[i],
+             argmin.r[i], argmin.theta[i])
         )
     io_utils.write_csv(
         os.path.join(out, "bound.csv"),
@@ -368,7 +322,7 @@ def build_parser():
 
     p = sub.add_parser("atlas", help="sample and order Bloch-sphere targets")
     p.add_argument("--delta", type=float, default=0.35)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_atlas)
 
@@ -383,7 +337,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="expectation/infidelity sweep over cutoffs")
     p.add_argument("--delta", type=float, default=0.35)
     p.add_argument("--cutoffs", default="5:120:5")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -399,7 +353,7 @@ def build_parser():
                    help="Bloch vector, alias, or 'core' (repeatable)")
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--rmax", type=float, default=6.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_bound)
 
@@ -407,7 +361,7 @@ def build_parser():
     p.add_argument("--u", required=True)
     p.add_argument("--cutoff", type=int, default=150)
     p.add_argument("--counts", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_measure)
     return parser

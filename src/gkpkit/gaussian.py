@@ -191,6 +191,8 @@ def minimize_over_gaussians(u, budget=400, seed=0, r_max=6.0):
     targets = np.array([check_unit(t) for t in np.atleast_2d(u)])
     if budget < 100:
         raise InvalidArgumentError(f"budget must be >= 100, got {budget}")
+    if not 0 <= r_max < math.inf:
+        raise InvalidArgumentError(f"r_max must be finite and >= 0, got {r_max}")
     grid = _start_grid()
     low, high = (0, 0, 0, -math.pi / 2), (2 * SQRT_PI, 2 * SQRT_PI, r_max, math.pi / 2)
     rng = np.random.default_rng(seed)

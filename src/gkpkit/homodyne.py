@@ -18,6 +18,7 @@ SQRT_2PI = math.sqrt(2 * math.pi)
 _RESCALE = 1e150
 
 MEASUREMENT_ANGLES = (0.0, math.pi / 2, -math.pi / 4)
+DEFAULT_GRID_POINTS = 4096
 
 
 @dataclass
@@ -78,10 +79,10 @@ def support_half_width(state):
     return math.sqrt(2 * n_max) + 5
 
 
-def default_grid(state, points=4096):
+def default_grid(state):
     """Grid spanning the classically allowed region of the state plus tails."""
     half_width = support_half_width(state)
-    return np.linspace(-half_width, half_width, points)
+    return np.linspace(-half_width, half_width, DEFAULT_GRID_POINTS)
 
 
 def rotated_wavefunction(state, angle, grid):

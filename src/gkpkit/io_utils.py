@@ -8,7 +8,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .bloch import Atlas
 from .errors import SchemaVersionError
+from .sweep import SweepRecord
 
 ARTIFACT_VERSION = "0.1.0"
 SWEEP_SCHEMA_VERSION = 1
@@ -68,8 +70,39 @@ def write_json(path, payload, config):
         fh.write("\n")
 
 
-def read_sweep(path):
-    """The sweep.json document at path, a dict of the current schema version.
+def write_sweep(path, record, config):
+    """sweep.json for a SweepRecord: the atlas, the infidelity matrix and one
+    block per cutoff, under the current schema version. A cutoff without a
+    parity gap (read from a file written before it existed) is written
+    without one."""
+    per_cutoff = {}
+    for n in record.cutoffs:
+        block = per_cutoff[str(n)] = {
+            "expectation": record.expectation[n].tolist(),
+            "ground_energies": record.ground_energies[n].tolist(),
+        }
+        if n in record.parity_gap:
+            block["parity_gap"] = record.parity_gap[n]
+    atlas = record.atlas
+    payload = {
+        "schema_version": SWEEP_SCHEMA_VERSION,
+        "delta": atlas.delta,
+        "seed": atlas.seed,
+        "cutoffs": record.cutoffs,
+        "atlas": {
+            "points": atlas.points.tolist(),
+            "labels": atlas.labels,
+            "delta": atlas.delta,
+            "seed": atlas.seed,
+        },
+        "infidelity": record.infidelity.tolist(),
+        "per_cutoff": per_cutoff,
+    }
+    write_json(path, payload, config)
+
+
+def load_sweep(path):
+    """The SweepRecord stored in the sweep.json file at path.
 
     Raises SchemaVersionError when the file is corrupt, is not a JSON
     object, carries another schema version, or lacks a key sweep writes,
@@ -99,7 +132,22 @@ def read_sweep(path):
             raise SchemaVersionError(
                 f"corrupt sweep file {path}: a block lacks one of {sorted(wanted)}"
             )
-    return doc
+    atlas = doc["atlas"]
+    try:
+        record = SweepRecord(
+            atlas=Atlas(np.array(atlas["points"]), atlas["labels"], atlas["delta"],
+                        atlas["seed"]),
+            cutoffs=[int(n) for n in doc["cutoffs"]],
+            infidelity=np.array(doc["infidelity"]),
+        )
+        for key, block in doc["per_cutoff"].items():
+            record.expectation[int(key)] = np.array(block["expectation"])
+            record.ground_energies[int(key)] = np.array(block["ground_energies"])
+            if "parity_gap" in block:  # absent from files written before it existed
+                record.parity_gap[int(key)] = block["parity_gap"]
+    except (TypeError, ValueError) as exc:
+        raise SchemaVersionError(f"corrupt sweep file {path}: {exc}") from exc
+    return record
 
 
 def read_csv(path):

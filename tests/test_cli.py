@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from gkpkit import cli
+from gkpkit import cli, io_utils, sweep
 from gkpkit.analysis import ExtrapolationResult
 from gkpkit.bloch import core_states
 from gkpkit.cli import load_sweep, main, parse_bloch, parse_cutoffs, parse_grid
@@ -159,14 +159,24 @@ def test_sweep_analyze_roundtrip(tmp_path):
     assert (an / "expectation_N20_normalized.csv").exists()
 
 
-def test_sweep_resume_skips_done_cutoffs(tmp_path):
-    sw = tmp_path / "sw"
-    base = ["sweep", "--delta", "1.2", "--seed", "0", "--out", str(sw)]
-    assert main(base + ["--cutoffs", "10,20"]) == 0
-    assert main(base + ["--cutoffs", "10,20,30", "--resume"]) == 0
-    with open(sw / "sweep.json") as fh:
-        doc = json.load(fh)
-    assert sorted(int(k) for k in doc["per_cutoff"]) == [10, 20, 30]
+def test_sweep_resume_skips_done_cutoffs(tmp_path, monkeypatch):
+    sw, fresh = tmp_path / "sw", tmp_path / "fresh"
+    base = ["sweep", "--delta", "1.2", "--seed", "0"]
+    assert main(base + ["--cutoffs", "10,20", "--out", str(sw)]) == 0
+    asked = []
+    run_sweep = sweep.run_sweep
+
+    def spy(atlas, cutoffs):
+        asked.append(list(cutoffs))
+        return run_sweep(atlas, cutoffs)
+
+    monkeypatch.setattr(sweep, "run_sweep", spy)
+    assert main(base + ["--cutoffs", "10,20,30", "--resume", "--out", str(sw)]) == 0
+    monkeypatch.undo()
+    assert asked == [[30]]
+    assert main(base + ["--cutoffs", "10,20,30", "--out", str(fresh)]) == 0
+    assert _strip_timestamps(sw / "sweep.json") == _strip_timestamps(fresh / "sweep.json")
+    assert cli.load_sweep is io_utils.load_sweep
 
 
 def test_sweep_files_without_parity_gap_load_and_resume(tmp_path):
@@ -215,9 +225,12 @@ def test_analyze_rejects_corrupt_file(tmp_path):
         '{"schema_version": 1, "delta": 0.35, "seed": 0, "cutoffs": [5], '
         '"atlas": {"points": [], "labels": [], "delta": 0.35, "seed": 0}, '
         '"infidelity": [], "per_cutoff": {"5": {}}}',
+        '{"schema_version": 1, "delta": 0.35, "seed": 0, "cutoffs": 5, '
+        '"atlas": {"points": [], "labels": [], "delta": 0.35, "seed": 0}, '
+        '"infidelity": [], "per_cutoff": {}}',
     ],
     ids=["truncated", "list", "missing_keys", "per_cutoff_list", "empty_atlas",
-         "empty_cutoff_block"],
+         "empty_cutoff_block", "cutoffs_not_a_list"],
 )
 def test_bad_sweep_file_exits_2_on_resume_and_analyze(tmp_path, capsys, text):
     bad = tmp_path / "sweep.json"
@@ -283,6 +296,29 @@ def test_invalid_bloch_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["atlas", "--seed=-1"],
+        ["sweep", "--cutoffs", "10", "--seed=-1"],
+        ["bound", "--u", "0", "--seed=-1"],
+        ["measure", "--u", "0", "--cutoff", "10", "--seed=-1"],
+        ["sweep", "--cutoffs", "5:x:5"],
+        ["sweep", "--cutoffs", "10", "--delta", "5"],
+        ["groundstate", "--u", "0", "--cutoff", "10", "--wigner", "--grid=a:1:5"],
+        ["groundstate", "--u", "0", "--cutoff", "10", "--wigner", "--grid=-1:1:x"],
+        ["bound", "--u", "0", "--rmax=-1"],
+        ["bound", "--u", "0", "--rmax", "nan"],
+        ["bound", "--u", "0", "--rmax", "inf"],
+    ],
+)
+def test_bad_argument_exits_2_and_writes_nothing(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["atlas", "--bogus", "1"]) == 2
     assert main(["sweep", "--workers", "2"]) == 2
@@ -297,7 +333,8 @@ def test_unwritable_path_exits_4(tmp_path, capsys):
     capsys.readouterr()
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 @pytest.mark.parametrize(
@@ -389,3 +426,40 @@ def test_main_pins_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch)
         assert get() == 2
     finally:
         put(before)
+
+
+def test_benchmark_hooks_find_every_name(tmp_path):
+    # gkpbench wraps gkpkit functions by name; a renamed or moved function
+    # silently drops its per-layer metrics from the benchmark result
+    code = f"""
+import json, sys
+sys.path.insert(0, {os.path.join(ROOT, 'gkpbench')!r})
+import hooks, layers
+from gkpkit import cli
+recorder = hooks.Recorder("guard")
+absent = hooks.install(recorder)
+codes = []
+for args in (
+    ["atlas", "--delta", "1.2", "--out", "a"],
+    ["sweep", "--delta", "1.2", "--cutoffs", "10,20", "--out", "s"],
+    ["analyze", "--sweep", "s/sweep.json", "--out", "an"],
+    ["groundstate", "--u", "H", "--cutoff", "20", "--wigner", "--grid=-4:4:9",
+     "--out", "g"],
+    ["measure", "--u", "0", "--cutoff", "30", "--counts", "1000", "--out", "m"],
+    ["bound", "--u", "0", "--budget", "100", "--out", "b"],
+):
+    with recorder.span("cli.main"):
+        codes.append(cli.main(args))
+values = layers.layer_metrics([{{"absent": absent, "spans": recorder.spans}}])
+missing = [name for name in layers.LAYER_METRICS if name not in values]
+print(json.dumps([absent, missing, codes]))
+"""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
+    )
+    absent, missing, codes = json.loads(done.stdout.splitlines()[-1])
+    assert absent == []
+    assert missing == []
+    assert codes == [0] * 6

@@ -3,13 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from gkpkit.bloch import Atlas
 from gkpkit.io_utils import (
     ARTIFACT_VERSION,
+    load_sweep,
     metadata_block,
     read_csv,
     write_csv,
     write_json,
+    write_sweep,
 )
+from gkpkit.sweep import SweepRecord
 
 
 def test_metadata_block_contents():
@@ -73,3 +77,34 @@ def test_csv_float_array_rows_match_formatted_rows(tmp_path):
     write_csv(tmp_path / "a.csv", ("x", "y", "z"), values, {"seed": 0})
     _, header, rows = read_csv(tmp_path / "a.csv")
     assert rows == [[repr(float(v)) for v in row] for row in values]
+
+
+def test_sweep_roundtrip_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(4)
+    special = [-0.0, 5e-324, 1e308, 0.1]
+    atlas = Atlas(rng.standard_normal((4, 3)), ["0L", "", "", "T+++"], 0.5, 3)
+    record = SweepRecord(atlas, [10, 20], infidelity=rng.random((4, 4)))
+    for n in (10, 20):
+        record.expectation[n] = np.vstack((special, rng.standard_normal((3, 4))))
+        record.ground_energies[n] = rng.standard_normal(4) * 1e-12
+    record.parity_gap[20] = 0.0625  # cutoff 10 has none, as in older files
+    path, again = tmp_path / "sweep.json", tmp_path / "again.json"
+    write_sweep(path, record, {"seed": 3})
+    back = load_sweep(path)
+    arrays = [(back.atlas.points, atlas.points), (back.infidelity, record.infidelity)]
+    for n in (10, 20):
+        arrays.append((back.expectation[n], record.expectation[n]))
+        arrays.append((back.ground_energies[n], record.ground_energies[n]))
+    for got, want in arrays:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (back.atlas.labels, back.atlas.delta, back.atlas.seed) == (
+        atlas.labels, 0.5, 3)
+    assert back.cutoffs == [10, 20]
+    assert back.parity_gap == {20: 0.0625}
+    write_sweep(again, back, {"seed": 3})
+
+    def stripped(path):
+        return [ln for ln in path.read_text().splitlines() if "timestamp" not in ln]
+
+    assert stripped(again) == stripped(path)
+    assert "parity_gap" not in json.loads(path.read_text())["per_cutoff"]["10"]

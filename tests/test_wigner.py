@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -150,3 +151,9 @@ def test_rejects_bad_grid_and_state():
         wigner(np.array([1.0 + 0j]), xs[::-1], xs)
     with pytest.raises(InvalidArgumentError):
         wigner(np.array([1.0, 1.0], dtype=complex), xs, xs)
+
+
+def test_package_attribute_is_the_wigner_submodule():
+    import gkpkit
+
+    assert gkpkit.wigner is sys.modules["gkpkit.wigner"]
