@@ -11,9 +11,8 @@ import sys
 
 import numpy as np
 
-from . import analysis, bloch, gaussian, homodyne, io_utils, operators, sweep
+from . import analysis, bloch, gaussian, homodyne, io_utils, sweep
 from .errors import GkpError, InvalidArgumentError, NumericalFailureError
-from .fock import expectation, ground_state
 from .io_utils import load_sweep
 from .wigner import wigner as wigner_fn
 
@@ -124,7 +123,7 @@ def cmd_atlas(args):
 def cmd_groundstate(args):
     u = parse_bloch(args.u)
     axis = parse_grid(args.grid) if args.wigner and args.grid else None
-    energy, state = ground_state(operators.gkp_operator(u, args.cutoff))
+    (energy,), (state,), _, _ = sweep.ground_states(u[None], args.cutoff)
     out = _ensure_out(args.out)
     config = {
         "command": "groundstate",
@@ -279,12 +278,11 @@ def cmd_bound(args):
 
 def cmd_measure(args):
     u = parse_bloch(args.u)
-    op = operators.gkp_operator(u, args.cutoff)
-    _, state = ground_state(op)
+    _, (state,), expectation, _ = sweep.ground_states(u[None], args.cutoff)
     estimate = homodyne.estimate_witness(
         state, u, count_per_quadrature=args.counts, seed=args.seed
     )
-    exact = expectation(op, state)
+    exact = float(expectation[0, 0])
     out = _ensure_out(args.out)
     config = {
         "command": "measure",

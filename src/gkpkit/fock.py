@@ -151,10 +151,11 @@ def displacement_matrix(alpha, cutoff):
 
 
 def ground_state(op):
-    """Smallest eigenvalue and its normalized eigenvector.
+    """Smallest eigenvalue and its normalized eigenvector of any Hermitian matrix.
 
     The eigenvector's global phase is fixed by making its largest-magnitude
-    amplitude real and positive.
+    amplitude real and positive. Ground states of O_GKP(u) come from
+    `sweep.ground_states`, which uses the operator's parity blocks.
     """
     check_hermitian(op, tol=1e-10)
     evals, evecs = _eigh(op, "eigensolver failed to converge")

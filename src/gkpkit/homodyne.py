@@ -145,6 +145,8 @@ def estimate_witness(state_or_samples, u, count_per_quadrature=100_000, seed=0):
             sample_quadrature(state, angle, count_per_quadrature, seed + i)
             for i, angle in enumerate(MEASUREMENT_ANGLES)
         ]
+    if min(s.values.size for s in samples) < 2:
+        raise InvalidArgumentError("each quadrature needs at least 2 samples")
 
     # (samples, single-frequency, Bloch coefficient); x - p = sqrt(2) x_(-pi/4)
     setup = [

@@ -70,7 +70,7 @@ def _herm_displacement(alpha, cutoff):
     return mat
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)  # a sweep builds each cutoff once; keep few sets alive
 def build_operator_set(cutoff):
     """O_1 and O_x, O_y, O_z as exact N-level truncations.
 

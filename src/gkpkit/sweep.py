@@ -24,47 +24,55 @@ class SweepRecord:
     parity_gap: dict = field(default_factory=dict)
 
 
-def _sweep_cutoff(points, cutoff):
-    """Ground states, expectation matrix and parity gap for one cutoff.
+def ground_states(points, cutoff):
+    """Ground states of O_GKP(u) for every row u of `points` at one cutoff.
 
     Every term of O_GKP(u) is a cosine of a linear quadrature, so the
     operator commutes with photon-number parity (-1)^n and its even and odd
-    Fock levels do not couple. The ground state is taken from the even block
-    of size ceil(N/2); the odd block gives only its lowest eigenvalue, which
-    must lie above the even ground energy. O_GKP(u_j) is linear in u_j, so
-    each row of the expectation matrix only needs the four component
-    expectations of the row's ground state, which one contraction gives for
-    all states at once.
+    Fock levels do not couple. One stacked solve of the even blocks, of size
+    ceil(N/2), gives the ground states; one of the odd blocks gives their
+    lowest levels, which must lie above the even ground energies. O_GKP(u_j)
+    is linear in u_j, so one contraction of the ground states with the four
+    components gives every expectation.
+
+    Returns (energies, states, expectation, parity_gap): N-level states with
+    zero odd amplitudes and the largest amplitude real and positive,
+    expectation[i, j] = <psi_i|O_GKP(u_j)|psi_i>, and min E_odd - E_even.
     """
+    points = np.asarray(points, dtype=float)
     ops = build_operator_set(cutoff)
-    blocks = np.stack([ops.o1 + np.eye(cutoff), ops.ox, ops.oy, ops.oz])
-    even = np.ascontiguousarray(blocks[:, 0::2, 0::2])
-    odd = np.ascontiguousarray(blocks[:, 1::2, 1::2])
-    m = points.shape[0]
-    energies = np.empty(m)
-    gaps = np.empty(m)
-    states = np.empty((m, even.shape[1]), dtype=complex)
-    for i, u in enumerate(points):
-        try:
-            evals, evecs = eigh(even[0] - np.tensordot(u, even[1:], axes=1))
-            odd_ground = eigvalsh(odd[0] - np.tensordot(u, odd[1:], axes=1))[0]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(
-                "eigensolver failed during sweep", bloch=tuple(u), cutoff=cutoff
-            ) from exc
-        gaps[i] = odd_ground - evals[0]
-        if not gaps[i] > 0:
-            raise NumericalFailureError(
-                "ground state is not in the even-parity sector",
-                bloch=tuple(u),
-                cutoff=cutoff,
-                parity_gap=float(gaps[i]),
-            )
-        energies[i] = evals[0]
-        states[i] = evecs[:, 0]
-    parts = np.einsum("mi,kij,mj->mk", states.conj(), even, states).real
+    components = (ops.o1 + np.eye(cutoff), ops.ox, ops.oy, ops.oz)
+    even, odd = (np.stack([c[p::2, p::2] for c in components]) for p in (0, 1))
+
+    def stack(block):
+        # one (1, 3) @ (3, n*n) product per point, the bits of a per-point
+        # tensordot, so a row does not depend on the rest of the batch
+        terms = points.astype(complex)[:, None] @ block[1:].reshape(3, -1)
+        terms = terms.reshape(-1, *block.shape[1:])
+        return np.subtract(block[0], terms, out=terms)
+
+    try:  # the odd stack is freed before the even one is built
+        odd_ground = eigvalsh(stack(odd))[:, 0]
+        evals, evecs = eigh(stack(even))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError("eigensolver failed", cutoff=cutoff) from exc
+    energies = evals[:, 0]
+    gaps = odd_ground - energies
+    bad = np.flatnonzero(~(gaps > 0))
+    if bad.size:
+        raise NumericalFailureError(
+            "ground state is not in the even-parity sector",
+            bloch=tuple(points[bad[0]]),
+            cutoff=cutoff,
+            parity_gap=float(gaps[bad[0]]),
+        )
+    vecs = evecs[:, :, 0]
+    parts = np.einsum("mi,kij,mj->mk", vecs.conj(), even, vecs).real
     expectation = parts[:, :1] - parts[:, 1:] @ points.T
-    return expectation, energies, float(gaps.min())
+    peak = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
+    states = np.zeros((len(vecs), cutoff), dtype=complex)
+    states[:, 0::2] = vecs * (peak.conj() / np.abs(peak))[:, None]
+    return energies, states, expectation, float(gaps.min())
 
 
 def run_sweep(atlas, cutoffs):
@@ -85,7 +93,7 @@ def run_sweep(atlas, cutoffs):
         infidelity=infidelity_matrix(points),
     )
     for cutoff in cutoffs:
-        expectation, energies, gap = _sweep_cutoff(points, cutoff)
+        energies, _, expectation, gap = ground_states(points, cutoff)
         record.expectation[cutoff] = expectation
         record.ground_energies[cutoff] = energies
         record.parity_gap[cutoff] = gap

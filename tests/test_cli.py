@@ -310,6 +310,7 @@ def test_invalid_bloch_exits_2(tmp_path, capsys):
         ["bound", "--u", "0", "--rmax=-1"],
         ["bound", "--u", "0", "--rmax", "nan"],
         ["bound", "--u", "0", "--rmax", "inf"],
+        ["measure", "--u", "0", "--cutoff", "10", "--counts", "1"],
     ],
 )
 def test_bad_argument_exits_2_and_writes_nothing(tmp_path, capsys, args):

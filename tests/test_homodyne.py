@@ -147,6 +147,21 @@ def test_witness_accepts_prebuilt_samples():
     assert direct.value == pytest.approx(from_state.value, abs=1e-12)
 
 
+def test_witness_rejects_single_sample_sets():
+    # one sample has no sample variance, so the standard error would be NaN
+    big = [
+        sample_quadrature(VACUUM, angle, 10, seed=i)
+        for i, angle in enumerate(MEASUREMENT_ANGLES)
+    ]
+    for k in range(3):
+        samples = list(big)
+        samples[k] = sample_quadrature(VACUUM, MEASUREMENT_ANGLES[k], 1, seed=k)
+        with pytest.raises(InvalidArgumentError, match="at least 2 samples"):
+            estimate_witness(samples, (0, 0, 1))
+    with pytest.raises(InvalidArgumentError, match="at least 2 samples"):
+        estimate_witness(VACUUM, (0, 0, 1), count_per_quadrature=1)
+
+
 def test_error_scaling():
     errs = {
         count: estimate_witness(

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from gkpkit import sweep
-from gkpkit.bloch import Atlas, core_states
+from gkpkit.bloch import (
+    Atlas,
+    core_states,
+    infidelity_matrix,
+    order_greedy,
+    sample_sphere,
+)
 from gkpkit.cli import main
 from gkpkit.errors import (
     DegenerateInputError,
@@ -191,13 +197,52 @@ def test_odd_sector_ground_state_raises(monkeypatch):
         run_sweep(atlas, [10, 20])
 
 
-def test_sweep_command_exits_3_on_odd_sector_ground_state(
-    monkeypatch, tmp_path, capsys
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--delta", "1.2", "--cutoffs", "10,20"],
+        ["groundstate", "--u", "H", "--cutoff", "20", "--wigner"],
+        ["measure", "--u", "0", "--cutoff", "20", "--counts", "100"],
+    ],
+    ids=["sweep", "groundstate", "measure"],
+)
+def test_command_exits_3_on_odd_sector_ground_state(
+    monkeypatch, tmp_path, capsys, args
 ):
     monkeypatch.setattr(sweep, "build_operator_set", _odd_ground_operator_set)
-    code = main(
-        ["sweep", "--delta", "1.2", "--cutoffs", "10,20", "--out", str(tmp_path)]
-    )
-    assert code == 3
+    assert main(args + ["--out", str(tmp_path)]) == 3
     assert "even-parity" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.json").exists()
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cutoff", [5, 6, 51, 120])
+def test_ground_states_rows_do_not_depend_on_the_batch(cutoff):
+    # `groundstate --u X` must report the energy the sweep records for X
+    points = order_greedy(sample_sphere(0.35, 0)).points
+    energies, states, _, _ = sweep.ground_states(points, cutoff)
+    for i in range(len(points)):
+        energy, state, _, _ = sweep.ground_states(points[i : i + 1], cutoff)
+        assert energy[0] == energies[i]
+        np.testing.assert_array_equal(state[0], states[i])
+
+
+def test_core_states_at_large_cutoff():
+    # E_ij ≈ 2(1 - F_ij) tightens and the parity gap stays open up to N = 300
+    points = np.array([vec for _, vec in core_states()])
+    infidelity = infidelity_matrix(points)
+    deviations = []
+    for cutoff in (200, 300):
+        _, _, expectation, gap = sweep.ground_states(points, cutoff)
+        deviations.append(np.max(np.abs(expectation - 2 * infidelity)))
+        assert gap > 0
+    assert deviations[1] < deviations[0]
+
+
+def test_ground_states_match_full_matrix_at_cutoff_300():
+    points = np.array([vec for _, vec in core_states()])[[0, 4, 9, 17]]
+    energies, states, expectation, _ = sweep.ground_states(points, 300)
+    for i, u in enumerate(points):
+        evals, evecs = np.linalg.eigh(gkp_operator(u, 300))
+        assert abs(energies[i] - evals[0]) <= 1e-12
+        assert abs(expectation[i, i] - evals[0]) <= 1e-12
+        assert abs(abs(np.vdot(evecs[:, 0], states[i])) - 1) <= 1e-12
