@@ -126,14 +126,9 @@ def order_greedy(atlas):
     )
 
 
-def logical_infidelity(ui, uj):
-    """1 - F = (1 - ui . uj) / 2 for two unit Bloch vectors."""
-    val = 0.5 * (1.0 - float(np.dot(ui, uj)))
-    return min(1.0, max(0.0, val))
-
-
 def infidelity_matrix(points):
-    """Pairwise logical infidelities, symmetric with zero diagonal."""
+    """Pairwise logical infidelities 1 - F = (1 - u_i . u_j) / 2 of unit Bloch
+    vectors, symmetric with zero diagonal."""
     gram = points @ points.T
     return np.clip(0.5 * (1.0 - gram), 0.0, 1.0)
 

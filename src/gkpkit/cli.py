@@ -122,7 +122,9 @@ def cmd_atlas(args):
 
 def cmd_groundstate(args):
     u = parse_bloch(args.u)
-    axis = parse_grid(args.grid) if args.wigner and args.grid else None
+    axis = None if args.grid is None else parse_grid(args.grid)
+    if axis is not None and not args.wigner:
+        raise InvalidArgumentError("--grid needs --wigner")
     (energy,), (state,), _, _ = sweep.ground_states(u[None], args.cutoff)
     out = _ensure_out(args.out)
     config = {
@@ -167,8 +169,7 @@ def cmd_sweep(args):
     config = _sweep_config(args)
     cutoffs = config["cutoffs"]
     atlas = bloch.order_greedy(bloch.sample_sphere(args.delta, args.seed))
-    out = _ensure_out(args.out)
-    path = os.path.join(out, "sweep.json")
+    path = os.path.join(args.out, "sweep.json")
     old = None
     if args.resume and os.path.exists(path):
         old = load_sweep(path)
@@ -183,6 +184,7 @@ def cmd_sweep(args):
         record.ground_energies[n] = old.ground_energies[n]
         if n in old.parity_gap:
             record.parity_gap[n] = old.parity_gap[n]
+    _ensure_out(args.out)
     io_utils.write_sweep(path, record, config)
     print(f"sweep: {len(atlas)} states x {len(cutoffs)} cutoffs -> {path}")
     return EXIT_OK

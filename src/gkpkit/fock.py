@@ -12,8 +12,6 @@ from numpy.linalg import LinAlgError, eigh
 
 from .errors import InvalidArgumentError, NumericalFailureError
 
-HERMITICITY_TOL = 1e-12
-
 
 def annihilation(cutoff):
     """Truncated annihilation operator a in the number basis."""
@@ -25,11 +23,11 @@ def hermitize(matrix):
     return 0.5 * (matrix + matrix.conj().T)
 
 
-def check_hermitian(matrix, tol=HERMITICITY_TOL):
+def check_hermitian(matrix):
     defect = np.max(np.abs(matrix - matrix.conj().T))
-    if defect > tol:
+    if defect > 1e-10:
         raise InvalidArgumentError(
-            f"matrix is not Hermitian (max asymmetry {defect:.3e} > {tol:.1e})"
+            f"matrix is not Hermitian (max asymmetry {defect:.3e} > 1e-10)"
         )
 
 
@@ -157,7 +155,7 @@ def ground_state(op):
     amplitude real and positive. Ground states of O_GKP(u) come from
     `sweep.ground_states`, which uses the operator's parity blocks.
     """
-    check_hermitian(op, tol=1e-10)
+    check_hermitian(op)
     evals, evecs = _eigh(op, "eigensolver failed to converge")
     vec = evecs[:, 0]
     vec = vec / np.linalg.norm(vec)

@@ -7,7 +7,7 @@ from numpy.linalg import eigh, eigvalsh
 
 from .bloch import Atlas, infidelity_matrix
 from .errors import DegenerateInputError, InvalidArgumentError, NumericalFailureError
-from .operators import build_operator_set
+from .operators import build_operator_set, check_unit
 
 
 @dataclass
@@ -25,7 +25,7 @@ class SweepRecord:
 
 
 def ground_states(points, cutoff):
-    """Ground states of O_GKP(u) for every row u of `points` at one cutoff.
+    """Ground states of O_GKP(u) for every unit row u of `points` at one cutoff.
 
     Every term of O_GKP(u) is a cosine of a linear quadrature, so the
     operator commutes with photon-number parity (-1)^n and its even and odd
@@ -40,6 +40,8 @@ def ground_states(points, cutoff):
     expectation[i, j] = <psi_i|O_GKP(u_j)|psi_i>, and min E_odd - E_even.
     """
     points = np.asarray(points, dtype=float)
+    for u in np.atleast_1d(points):  # O_GKP(u) is positive semidefinite for unit u
+        check_unit(u)
     ops = build_operator_set(cutoff)
     components = (ops.o1 + np.eye(cutoff), ops.ox, ops.oy, ops.oz)
     even, odd = (np.stack([c[p::2, p::2] for c in components]) for p in (0, 1))

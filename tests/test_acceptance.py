@@ -18,14 +18,13 @@ from gkpkit.analysis import (
 )
 from gkpkit.bloch import Atlas, core_states, order_greedy, sample_sphere
 from gkpkit.cli import main
-from gkpkit.fock import exp_of_quadrature, ground_state
+from gkpkit.fock import exp_of_quadrature, expectation, ground_state
 from gkpkit.gaussian import gaussian_bound, minimize_over_gaussians
 from gkpkit.homodyne import estimate_witness, rotated_wavefunction
 from gkpkit.operators import (
     TABLE_TARGETS,
     analytic_complement,
     build_operator_set,
-    expectation,
     gkp_operator,
 )
 from gkpkit.sweep import (
@@ -82,7 +81,7 @@ def test_criterion_02_dual_route_stabilizers():
     worst = 0.0
     for which, (cx, cp, scale) in scales.items():
         spectral = exp_of_quadrature(cx, cp, scale, 128, 128)
-        laguerre = stabilizer(which, 128, composed_y=False)
+        laguerre = stabilizer(which, 128)
         worst = max(worst, float(np.abs(spectral - laguerre).max()))
     _report(2, "dual-route equivalence", worst <= 1e-8, f"max diff {worst:.2e}")
 

@@ -311,6 +311,11 @@ def test_invalid_bloch_exits_2(tmp_path, capsys):
         ["bound", "--u", "0", "--rmax", "nan"],
         ["bound", "--u", "0", "--rmax", "inf"],
         ["measure", "--u", "0", "--cutoff", "10", "--counts", "1"],
+        ["sweep", "--cutoffs", "30,10"],
+        ["sweep", "--cutoffs", "10,10"],
+        ["sweep", "--cutoffs", "0:10:5"],
+        ["groundstate", "--u", "H", "--cutoff", "10", "--grid=a:b:c"],
+        ["groundstate", "--u", "H", "--cutoff", "10", "--grid=-1:1:5"],
     ],
 )
 def test_bad_argument_exits_2_and_writes_nothing(tmp_path, capsys, args):
@@ -363,6 +368,20 @@ def test_results_independent_of_blas_threads(tmp_path, args):
     assert files[1].keys() == files[2].keys() and files[1]
     for name in files[1]:
         assert files[1][name] == files[2][name], name
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    code = (
+        "import sys, gkpkit; "
+        "print([m for m in sys.modules "
+        "if m.startswith('gkpkit.') or m.split('.')[0] == 'numpy'])"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_scipy_stats():

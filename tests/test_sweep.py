@@ -246,3 +246,15 @@ def test_ground_states_match_full_matrix_at_cutoff_300():
         assert abs(energies[i] - evals[0]) <= 1e-12
         assert abs(expectation[i, i] - evals[0]) <= 1e-12
         assert abs(abs(np.vdot(evecs[:, 0], states[i])) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[(0.0, 0.0, 3.0)], [(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)], (0.0, 0.0, 1.0)],
+    ids=["long", "one-bad-row", "1-D"],
+)
+def test_ground_states_rejects_points_that_are_not_unit_rows(points):
+    # O_GKP(u) is positive semidefinite only for unit u: u = (0, 0, 3)
+    # would give a negative "ground energy"
+    with pytest.raises(InvalidArgumentError):
+        sweep.ground_states(points, 10)
