@@ -132,27 +132,3 @@ def infidelity_matrix(points):
     gram = points @ points.T
     return np.clip(0.5 * (1.0 - gram), 0.0, 1.0)
 
-
-def bloch_to_angles(u):
-    """Qubit angles (theta, phi) with cos(theta) = sqrt((1+u_z)/2).
-
-    At the south pole (u_z = -1) the phase is undefined; we return
-    (pi/2, 0) by convention.
-    """
-    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
-    if uz <= -1.0 + 1e-15:
-        return math.pi / 2, 0.0
-    theta = math.acos(min(1.0, math.sqrt((1 + uz) / 2)))
-    phi = math.atan2(uy, ux)
-    return theta, phi
-
-
-def angles_to_bloch(theta, phi):
-    """Bloch vector of cos(theta)|0> + e^(i phi) sin(theta)|1>."""
-    return np.array(
-        (
-            math.sin(2 * theta) * math.cos(phi),
-            math.sin(2 * theta) * math.sin(phi),
-            math.cos(2 * theta),
-        )
-    )

@@ -176,14 +176,7 @@ def cmd_sweep(args):
         if (old.atlas.delta, old.atlas.seed) != (args.delta, args.seed):
             print("resume: config mismatch, recomputing everything", file=sys.stderr)
             old = None
-    kept = [n for n in cutoffs if old is not None and n in old.expectation]
-    record = sweep.run_sweep(atlas, [n for n in cutoffs if n not in kept])
-    record.cutoffs = cutoffs
-    for n in kept:
-        record.expectation[n] = old.expectation[n]
-        record.ground_energies[n] = old.ground_energies[n]
-        if n in old.parity_gap:
-            record.parity_gap[n] = old.parity_gap[n]
+    record = sweep.run_sweep(atlas, cutoffs, done=old)
     _ensure_out(args.out)
     io_utils.write_sweep(path, record, config)
     print(f"sweep: {len(atlas)} states x {len(cutoffs)} cutoffs -> {path}")

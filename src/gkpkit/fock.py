@@ -58,49 +58,27 @@ def _eigh(matrix, failure, **diagnostics):
         raise NumericalFailureError(failure, **diagnostics) from exc
 
 
-def _spectral_function(func, coeff_x, coeff_p, scale, cutoff, padding):
-    """Apply `func` to scale*(coeff_x*x + coeff_p*p) spectrally, then truncate.
+def exp_of_quadrature(coeff_x, coeff_p, scale, cutoff, padding=None):
+    """exp(i * scale * (coeff_x*x + coeff_p*p)), unitary before truncation.
 
-    The function is evaluated in dimension cutoff+padding and the top-left
-    cutoff x cutoff block is returned; padding suppresses truncation error
-    in the retained block.  Default padding equals the cutoff, which keeps
-    the retained block within ~1e-8 of the exact truncation of the
-    infinite-dimensional operator.
+    The function is evaluated spectrally in dimension cutoff+padding and the
+    top-left cutoff x cutoff block is returned; padding suppresses truncation
+    error in the retained block.  Default padding equals the cutoff, which
+    keeps the retained block within ~1e-8 of the exact truncation of the
+    infinite-dimensional operator.  Its Hermitian part is the cosine.
     """
     if padding is None:
         padding = cutoff
     if padding < 0:
         raise InvalidArgumentError(f"padding must be >= 0, got {padding}")
-    dim = cutoff + padding
     evals, evecs = _eigh(
-        quadrature_matrix(coeff_x, coeff_p, dim),
+        quadrature_matrix(coeff_x, coeff_p, cutoff + padding),
         "eigendecomposition of quadrature matrix failed",
         coeff_x=coeff_x,
         coeff_p=coeff_p,
     )
-    full = (evecs * func(scale * evals)) @ evecs.conj().T
+    full = (evecs * np.exp(1j * (scale * evals))) @ evecs.conj().T
     return full[:cutoff, :cutoff]
-
-
-def cosine_of_quadrature(coeff_x, coeff_p, scale, cutoff, padding=None):
-    """cos(scale * (coeff_x*x + coeff_p*p)) via padded spectral decomposition."""
-    return hermitize(
-        _spectral_function(np.cos, coeff_x, coeff_p, scale, cutoff, padding)
-    )
-
-
-def sine_of_quadrature(coeff_x, coeff_p, scale, cutoff, padding=None):
-    """sin(scale * (coeff_x*x + coeff_p*p)); companion to cosine_of_quadrature."""
-    return hermitize(
-        _spectral_function(np.sin, coeff_x, coeff_p, scale, cutoff, padding)
-    )
-
-
-def exp_of_quadrature(coeff_x, coeff_p, scale, cutoff, padding=None):
-    """exp(i * scale * (coeff_x*x + coeff_p*p)); unitary before truncation."""
-    return _spectral_function(
-        lambda phase: np.exp(1j * phase), coeff_x, coeff_p, scale, cutoff, padding
-    )
 
 
 def displacement_matrix(alpha, cutoff):

@@ -101,12 +101,22 @@ def write_sweep(path, record, config):
     write_json(path, payload, config)
 
 
+def _float_array(value, name, *shape):
+    """value as a float array of the given shape; ValueError otherwise."""
+    array = np.array(value, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    return array
+
+
 def load_sweep(path):
     """The SweepRecord stored in the sweep.json file at path.
 
     Raises SchemaVersionError when the file is corrupt, is not a JSON
-    object, carries another schema version, or lacks a key sweep writes,
-    at the top level, in the atlas or in a per-cutoff block.
+    object, carries another schema version, lacks a key sweep writes (at
+    the top level, in the atlas or in a per-cutoff block), or is
+    inconsistent: cutoffs that are not distinct ascending ints naming the
+    per-cutoff blocks, or arrays whose shapes do not fit M (M, 3) points.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -132,19 +142,31 @@ def load_sweep(path):
             raise SchemaVersionError(
                 f"corrupt sweep file {path}: a block lacks one of {sorted(wanted)}"
             )
-    atlas = doc["atlas"]
+    atlas, cutoffs = doc["atlas"], doc["cutoffs"]
     try:
+        if not isinstance(cutoffs, list) or any(type(n) is not int for n in cutoffs):
+            raise ValueError(f"cutoffs {cutoffs!r} are not a list of ints")
+        if sorted(set(cutoffs)) != cutoffs:
+            raise ValueError(f"cutoffs {cutoffs} are not distinct and ascending")
+        if set(doc["per_cutoff"]) != {str(n) for n in cutoffs}:
+            raise ValueError(f"cutoffs {cutoffs} do not name the per-cutoff blocks")
+        m = len(atlas["points"])
         record = SweepRecord(
-            atlas=Atlas(np.array(atlas["points"]), atlas["labels"], atlas["delta"],
-                        atlas["seed"]),
-            cutoffs=[int(n) for n in doc["cutoffs"]],
-            infidelity=np.array(doc["infidelity"]),
+            atlas=Atlas(_float_array(atlas["points"], "points", m, 3),
+                        atlas["labels"], atlas["delta"], atlas["seed"]),
+            cutoffs=cutoffs,
+            infidelity=_float_array(doc["infidelity"], "infidelity", m, m),
         )
-        for key, block in doc["per_cutoff"].items():
-            record.expectation[int(key)] = np.array(block["expectation"])
-            record.ground_energies[int(key)] = np.array(block["ground_energies"])
+        for n in cutoffs:
+            block = doc["per_cutoff"][str(n)]
+            record.expectation[n] = _float_array(
+                block["expectation"], f"expectation at N = {n}", m, m
+            )
+            record.ground_energies[n] = _float_array(
+                block["ground_energies"], f"ground energies at N = {n}", m
+            )
             if "parity_gap" in block:  # absent from files written before it existed
-                record.parity_gap[int(key)] = block["parity_gap"]
+                record.parity_gap[n] = float(block["parity_gap"])
     except (TypeError, ValueError) as exc:
         raise SchemaVersionError(f"corrupt sweep file {path}: {exc}") from exc
     return record

@@ -10,13 +10,12 @@ stabilizers are displacements:
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fock import cosine_of_quadrature, displacement_matrix, hermitize
+from .fock import displacement_matrix, exp_of_quadrature, hermitize
 
 # the one sqrt(pi) of the package: stabilizer phases and the Gaussian sums
 SQRT_PI = math.sqrt(math.pi)
@@ -31,61 +30,40 @@ _STABILIZER_ALPHA = {
 
 def stabilizer(which, cutoff):
     """Truncated stabilizer matrix X, Z or Y, each a single displacement."""
-    if cutoff < 1:
-        raise InvalidArgumentError(f"cutoff must be >= 1, got {cutoff}")
     if which not in _STABILIZER_ALPHA:
         raise InvalidArgumentError(f"unknown stabilizer {which!r}")
     return displacement_matrix(_STABILIZER_ALPHA[which], cutoff)
 
 
-@dataclass(frozen=True)
-class GkpOperatorSet:
-    """The four Hermitian building blocks of O_GKP at a fixed cutoff."""
-
-    o1: np.ndarray
-    ox: np.ndarray
-    oy: np.ndarray
-    oz: np.ndarray
-    cutoff: int
-
-
-def _herm_displacement(alpha, cutoff):
-    """Exact truncation of cos of the quadrature generating D(alpha)."""
-    mat = hermitize(displacement_matrix(alpha, cutoff))
-    mat.flags.writeable = False
-    return mat
-
-
 @lru_cache(maxsize=4)  # a sweep builds each cutoff once; keep few sets alive
 def build_operator_set(cutoff):
-    """O_1 and O_x, O_y, O_z as exact N-level truncations.
+    """The read-only (4, N, N) array C = (O_1 + 1, O_x, O_y, O_z) of exact
+    N-level truncations, so that O_GKP(u) = C[0] - u . C[1:].
 
     O_1 = 1 - (1/3)[cos(2 sqrt(pi) p) + cos(2 sqrt(pi)(x-p)) + cos(2 sqrt(pi) x)]
     O_x = cos(sqrt(pi) p), O_y = cos(sqrt(pi)(x-p)), O_z = cos(sqrt(pi) x),
-    each realized as the Hermitian part of the corresponding truncated
+    each cosine realized as the Hermitian part of the corresponding truncated
     displacement (squared stabilizers for O_1, single ones for the rest).
     """
     if cutoff < 2:
         raise InvalidArgumentError(f"cutoff must be >= 2, got {cutoff}")
-    ox = _herm_displacement(_STABILIZER_ALPHA["X"], cutoff)
-    oy = _herm_displacement(_STABILIZER_ALPHA["Y"], cutoff)
-    oz = _herm_displacement(_STABILIZER_ALPHA["Z"], cutoff)
+    comps = np.empty((4, cutoff, cutoff), dtype=complex)
+    for k, which in enumerate("XYZ", start=1):
+        comps[k] = hermitize(displacement_matrix(_STABILIZER_ALPHA[which], cutoff))
     cos2 = sum(
-        _herm_displacement(2 * _STABILIZER_ALPHA[w], cutoff) for w in ("X", "Y", "Z")
+        hermitize(displacement_matrix(2 * _STABILIZER_ALPHA[w], cutoff)) for w in "XYZ"
     )
-    # in place: a fresh N x N result here raises a sweep's peak RSS by ~1.4 MB
-    o1 = cos2 / 3.0
-    np.subtract(np.eye(cutoff), o1, out=o1)
-    o1.flags.writeable = False
-    return GkpOperatorSet(o1=o1, ox=ox, oy=oy, oz=oz, cutoff=cutoff)
+    comps[0] = np.eye(cutoff) - cos2 / 3.0 + np.eye(cutoff)
+    comps.flags.writeable = False
+    return comps
 
 
-def check_unit(u, tol=1e-9):
+def check_unit(u):
     u = np.asarray(u, dtype=float)
     if u.shape != (3,):
         raise InvalidArgumentError(f"Bloch vector must have 3 components, got {u.shape}")
     norm = np.linalg.norm(u)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > 1e-9:
         raise InvalidArgumentError(f"Bloch vector must be unit length, |u| = {norm}")
     return u
 
@@ -93,8 +71,8 @@ def check_unit(u, tol=1e-9):
 def gkp_operator(u, cutoff):
     """Truncated target operator O_GKP(u) = O_1 + 1 - (ux Ox + uy Oy + uz Oz)."""
     u = check_unit(u)
-    ops = build_operator_set(cutoff)
-    return ops.o1 + np.eye(cutoff) - (u[0] * ops.ox + u[1] * ops.oy + u[2] * ops.oz)
+    comps = build_operator_set(cutoff)
+    return comps[0] - (u[0] * comps[1] + u[1] * comps[2] + u[2] * comps[3])
 
 
 def reduced_zero_operator(cutoff):
@@ -105,40 +83,29 @@ def reduced_zero_operator(cutoff):
     """
     if cutoff < 2:
         raise InvalidArgumentError(f"cutoff must be >= 2, got {cutoff}")
-    cos_2x = _herm_displacement(2 * _STABILIZER_ALPHA["Z"], cutoff)
-    cos_p = _herm_displacement(_STABILIZER_ALPHA["X"], cutoff)
-    return hermitize(2 * np.eye(cutoff) - cos_2x - cos_p)
+    cos_2x = hermitize(displacement_matrix(2 * _STABILIZER_ALPHA["Z"], cutoff))
+    cos_p = hermitize(displacement_matrix(_STABILIZER_ALPHA["X"], cutoff))
+    return 2 * np.eye(cutoff) - cos_2x - cos_p
 
 
-# Bloch vectors of the five targets with closed-form complements.
-TABLE_TARGETS = {
-    "0L": (0.0, 0.0, 1.0),
-    "1L": (0.0, 0.0, -1.0),
-    "+L": (1.0, 0.0, 0.0),
-    "-L": (-1.0, 0.0, 0.0),
-    "HL": (1 / np.sqrt(2), 1 / np.sqrt(2), 0.0),
+# Closed-form complements O_GKP(u) - O_1 = 1 - sum w cos(sqrt(pi)(cx x + cp p))
+# of five core states, as (w, cx, cp) terms keyed by bloch.core_states labels:
+# 0L -> 2 sin^2(sqrt(pi) x / 2), 1L -> 2 cos^2(sqrt(pi) x / 2), +L / -L -> the
+# p-quadrature analogues, H+x+y -> 1 - [cos(sqrt(pi) p) + cos(sqrt(pi)(x - p))]/sqrt(2).
+_COMPLEMENT_TERMS = {
+    "0L": ((1.0, 1, 0),),
+    "1L": ((-1.0, 1, 0),),
+    "+L": ((1.0, 0, 1),),
+    "-L": ((-1.0, 0, 1),),
+    "H+x+y": ((1 / math.sqrt(2), 0, 1), (1 / math.sqrt(2), 1, -1)),
 }
 
 
-def analytic_complement(label, cutoff, padding=None):
-    """Closed-form complement O_GKP(u) - O_1, built spectrally.
-
-    Known targets: 0L -> 2 sin^2(sqrt(pi) x / 2), 1L -> 2 cos^2(sqrt(pi) x / 2),
-    +L / -L -> the p-quadrature analogues, and
-    HL -> 1 - [cos(sqrt(pi) p) + cos(sqrt(pi)(x - p))]/sqrt(2).
-    """
-    eye = np.eye(cutoff)
-    if label == "0L":
-        return eye - cosine_of_quadrature(1, 0, SQRT_PI, cutoff, padding)
-    if label == "1L":
-        return eye + cosine_of_quadrature(1, 0, SQRT_PI, cutoff, padding)
-    if label == "+L":
-        return eye - cosine_of_quadrature(0, 1, SQRT_PI, cutoff, padding)
-    if label == "-L":
-        return eye + cosine_of_quadrature(0, 1, SQRT_PI, cutoff, padding)
-    if label == "HL":
-        cos_p = cosine_of_quadrature(0, 1, SQRT_PI, cutoff, padding)
-        cos_xp = cosine_of_quadrature(1, -1, SQRT_PI, cutoff, padding)
-        return eye - (cos_p + cos_xp) / np.sqrt(2)
-    raise InvalidArgumentError(f"no analytic complement for target {label!r}")
-
+def analytic_complement(label, cutoff):
+    """Closed-form complement O_GKP(u) - O_1 of a core state, built spectrally."""
+    if label not in _COMPLEMENT_TERMS:
+        raise InvalidArgumentError(f"no analytic complement for target {label!r}")
+    out = np.eye(cutoff, dtype=complex)
+    for weight, cx, cp in _COMPLEMENT_TERMS[label]:
+        out -= weight * hermitize(exp_of_quadrature(cx, cp, SQRT_PI, cutoff))
+    return out

@@ -42,9 +42,8 @@ def ground_states(points, cutoff):
     points = np.asarray(points, dtype=float)
     for u in np.atleast_1d(points):  # O_GKP(u) is positive semidefinite for unit u
         check_unit(u)
-    ops = build_operator_set(cutoff)
-    components = (ops.o1 + np.eye(cutoff), ops.ox, ops.oy, ops.oz)
-    even, odd = (np.stack([c[p::2, p::2] for c in components]) for p in (0, 1))
+    comps = build_operator_set(cutoff)
+    even, odd = comps[:, 0::2, 0::2], comps[:, 1::2, 1::2]
 
     def stack(block):
         # one (1, 3) @ (3, n*n) product per point, the bits of a per-point
@@ -77,17 +76,17 @@ def ground_states(points, cutoff):
     return energies, states, expectation, float(gaps.min())
 
 
-def run_sweep(atlas, cutoffs):
+def run_sweep(atlas, cutoffs, done=None):
     """Fill a SweepRecord over all (state, cutoff) combinations.
 
-    Deterministic for fixed atlas and cutoffs under a fixed BLAS thread
-    count; the CLI runs every command on one BLAS thread.
+    A cutoff that the SweepRecord `done` holds is taken from it, with its
+    parity gap when it has one; the rest are computed. Deterministic for
+    fixed atlas and cutoffs under a fixed BLAS thread count; the CLI runs
+    every command on one BLAS thread.
     """
     cutoffs = [int(n) for n in cutoffs]
-    if sorted(cutoffs) != cutoffs:
-        raise InvalidArgumentError("cutoffs must be ascending")
-    if len(set(cutoffs)) != len(cutoffs):
-        raise InvalidArgumentError("cutoffs must be distinct")
+    if sorted(set(cutoffs)) != cutoffs:
+        raise InvalidArgumentError("cutoffs must be distinct and ascending")
     points = np.asarray(atlas.points, dtype=float)
     record = SweepRecord(
         atlas=atlas,
@@ -95,6 +94,12 @@ def run_sweep(atlas, cutoffs):
         infidelity=infidelity_matrix(points),
     )
     for cutoff in cutoffs:
+        if done is not None and cutoff in done.expectation:
+            record.expectation[cutoff] = done.expectation[cutoff]
+            record.ground_energies[cutoff] = done.ground_energies[cutoff]
+            if cutoff in done.parity_gap:
+                record.parity_gap[cutoff] = done.parity_gap[cutoff]
+            continue
         energies, _, expectation, gap = ground_states(points, cutoff)
         record.expectation[cutoff] = expectation
         record.ground_energies[cutoff] = energies

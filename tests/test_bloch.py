@@ -5,9 +5,7 @@ import pytest
 
 from gkpkit.bloch import (
     Atlas,
-    angles_to_bloch,
     angular_distance,
-    bloch_to_angles,
     core_states,
     infidelity_matrix,
     order_greedy,
@@ -119,26 +117,3 @@ def test_infidelity_matrix_symmetry():
     np.testing.assert_allclose(mat, mat.T, atol=1e-14)
     np.testing.assert_allclose(np.diag(mat), 0.0, atol=1e-14)
     assert mat.min() >= 0 and mat.max() <= 1
-
-
-def test_bloch_to_angles_examples():
-    assert bloch_to_angles((0, 0, 1)) == pytest.approx((0, 0), abs=1e-12)
-    assert bloch_to_angles((S2, S2, 0)) == pytest.approx(
-        (math.pi / 4, math.pi / 4), abs=1e-12
-    )
-    assert bloch_to_angles((1, 0, 0)) == pytest.approx((math.pi / 4, 0), abs=1e-12)
-
-
-def test_bloch_to_angles_south_pole_convention():
-    assert bloch_to_angles((0, 0, -1)) == (math.pi / 2, 0.0)
-
-
-def test_angles_roundtrip():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        if u[2] < -0.999:
-            continue
-        theta, phi = bloch_to_angles(u)
-        np.testing.assert_allclose(angles_to_bloch(theta, phi), u, atol=1e-12)

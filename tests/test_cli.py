@@ -164,18 +164,23 @@ def test_sweep_resume_skips_done_cutoffs(tmp_path, monkeypatch):
     base = ["sweep", "--delta", "1.2", "--seed", "0"]
     assert main(base + ["--cutoffs", "10,20", "--out", str(sw)]) == 0
     asked = []
-    run_sweep = sweep.run_sweep
+    ground_states = sweep.ground_states
 
-    def spy(atlas, cutoffs):
-        asked.append(list(cutoffs))
-        return run_sweep(atlas, cutoffs)
+    def spy(points, cutoff):
+        asked.append(cutoff)
+        return ground_states(points, cutoff)
 
-    monkeypatch.setattr(sweep, "run_sweep", spy)
+    monkeypatch.setattr(sweep, "ground_states", spy)
     assert main(base + ["--cutoffs", "10,20,30", "--resume", "--out", str(sw)]) == 0
     monkeypatch.undo()
-    assert asked == [[30]]
+    assert asked == [30]
     assert main(base + ["--cutoffs", "10,20,30", "--out", str(fresh)]) == 0
     assert _strip_timestamps(sw / "sweep.json") == _strip_timestamps(fresh / "sweep.json")
+    # every cutoff listed is checked, also those the file already holds
+    text = (sw / "sweep.json").read_text()
+    for cutoffs in ("20,10,10", "20,10"):
+        assert main(base + ["--cutoffs", cutoffs, "--resume", "--out", str(sw)]) == 2
+        assert (sw / "sweep.json").read_text() == text
     assert cli.load_sweep is io_utils.load_sweep
 
 
@@ -212,6 +217,14 @@ def test_analyze_rejects_corrupt_file(tmp_path):
     assert main(["analyze", "--sweep", str(bad), "--out", str(tmp_path / "an")]) == 2
 
 
+@pytest.fixture(scope="module")
+def valid_sweep_text(tmp_path_factory):
+    out = tmp_path_factory.mktemp("valid")
+    args = ["sweep", "--delta", "1.2", "--cutoffs", "10,20,30,40,50", "--out", str(out)]
+    assert main(args) == 0
+    return (out / "sweep.json").read_text()
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -228,11 +241,23 @@ def test_analyze_rejects_corrupt_file(tmp_path):
         '{"schema_version": 1, "delta": 0.35, "seed": 0, "cutoffs": 5, '
         '"atlas": {"points": [], "labels": [], "delta": 0.35, "seed": 0}, '
         '"infidelity": [], "per_cutoff": {}}',
+        # changes to a valid file
+        lambda doc: doc["per_cutoff"].pop("50"),
+        lambda doc: doc["per_cutoff"]["10"].update(expectation=[[0.5]]),
+        lambda doc: doc["per_cutoff"]["10"].update(expectation="abc"),
+        lambda doc: doc.update(cutoffs=[10, 10, 20, 30, 40]),
     ],
     ids=["truncated", "list", "missing_keys", "per_cutoff_list", "empty_atlas",
-         "empty_cutoff_block", "cutoffs_not_a_list"],
+         "empty_cutoff_block", "cutoffs_not_a_list", "cutoff_without_block",
+         "1x1_expectation", "string_expectation", "duplicate_cutoffs"],
 )
-def test_bad_sweep_file_exits_2_on_resume_and_analyze(tmp_path, capsys, text):
+def test_bad_sweep_file_exits_2_on_resume_and_analyze(
+    tmp_path, capsys, valid_sweep_text, text
+):
+    if callable(text):
+        doc = json.loads(valid_sweep_text)
+        text(doc)
+        text = json.dumps(doc)
     bad = tmp_path / "sweep.json"
     bad.write_text(text)
     resume = ["sweep", "--cutoffs", "10", "--out", str(tmp_path), "--resume"]

@@ -4,13 +4,12 @@ from scipy.special import factorial, genlaguerre
 
 from gkpkit.errors import InvalidArgumentError
 from gkpkit.fock import (
-    cosine_of_quadrature,
     displacement_matrix,
     exp_of_quadrature,
     expectation,
     ground_state,
+    hermitize,
     quadrature_matrix,
-    sine_of_quadrature,
 )
 
 SQRT_PI = np.sqrt(np.pi)
@@ -44,28 +43,28 @@ def test_quadrature_matrix_rejects_small_cutoff():
 
 
 def test_cosine_zero_scale_is_identity():
-    mat = cosine_of_quadrature(1, 0, 0.0, 17)
+    mat = hermitize(exp_of_quadrature(1, 0, 0.0, 17))
     np.testing.assert_allclose(mat, np.eye(17), atol=1e-12)
 
 
 def test_cosine_vacuum_entry():
     # <0|cos(sqrt(pi) x)|0> = e^(-pi/4) for vacuum variance 1/2
-    mat = cosine_of_quadrature(1, 0, SQRT_PI, 100, 100)
+    mat = hermitize(exp_of_quadrature(1, 0, SQRT_PI, 100, 100))
     assert mat[0, 0].real == pytest.approx(np.exp(-np.pi / 4), abs=1e-8)
 
 
 def test_cosine_matches_displacement_route():
     # cos(sqrt(pi)(x - p)) vs Hermitian part of D(sqrt(pi/2)(1+1j))
-    spectral = cosine_of_quadrature(1, -1, SQRT_PI, 60, 80)
+    spectral = hermitize(exp_of_quadrature(1, -1, SQRT_PI, 60, 80))
     disp = displacement_matrix(np.sqrt(np.pi / 2) * (1 + 1j), 60)
     herm = 0.5 * (disp + disp.conj().T)
     assert np.abs(spectral - herm).max() < 1e-8
 
 
 def test_cos_squared_plus_sin_squared():
-    cos = cosine_of_quadrature(1, 0.5, SQRT_PI, 64, 64)
-    sin = sine_of_quadrature(1, 0.5, SQRT_PI, 64, 64)
-    combo = cos @ cos + sin @ sin
+    # e^(i theta) e^(-i theta) = cos^2 + sin^2 for the commuting parts of e^(i theta)
+    exp = exp_of_quadrature(1, 0.5, SQRT_PI, 64, 64)
+    combo = exp @ exp.conj().T
     # the matrix product itself is truncated, so only the interior is clean
     assert np.abs(combo[:32, :32] - np.eye(64)[:32, :32]).max() < 1e-8
 
@@ -202,7 +201,6 @@ def test_expectation_cutoff_mismatch():
 def test_produced_matrices_are_hermitian():
     for mat in (
         quadrature_matrix(0.3, -1.2, 25),
-        cosine_of_quadrature(1, 1, SQRT_PI, 25),
-        sine_of_quadrature(2, -1, 1.0, 25),
+        hermitize(exp_of_quadrature(1, 1, SQRT_PI, 25)),
     ):
         assert np.abs(mat - mat.conj().T).max() <= 1e-12

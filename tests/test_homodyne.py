@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gkpkit.errors import InvalidArgumentError, MassDeficitError
-from gkpkit.fock import cosine_of_quadrature, expectation, ground_state
+from gkpkit.fock import exp_of_quadrature, expectation, ground_state, hermitize
 from gkpkit.gaussian import gaussian_bound, squeezed_vacuum_fock
 from gkpkit.homodyne import (
     MEASUREMENT_ANGLES,
@@ -200,7 +200,7 @@ def test_angle_correctness_across_states():
     for i, state in enumerate(states):
         n = state.size
         matrix_val = expectation(
-            cosine_of_quadrature(1, 0, SQRT_PI, n, max(n, 20)), state
+            hermitize(exp_of_quadrature(1, 0, SQRT_PI, n, max(n, 20))), state
         )
         samples = sample_quadrature(state, 0.0, 200_000, seed=100 + i)
         vals = np.cos(SQRT_PI * samples.values)

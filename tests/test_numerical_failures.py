@@ -3,7 +3,7 @@ import pytest
 
 from gkpkit import fock
 from gkpkit.errors import NumericalFailureError
-from gkpkit.fock import cosine_of_quadrature, exp_of_quadrature, ground_state
+from gkpkit.fock import exp_of_quadrature, ground_state
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -22,7 +22,5 @@ def test_eigensolver_failure_raises(monkeypatch):
     monkeypatch.setattr(fock, "eigh", failing_eigh)
     with pytest.raises(NumericalFailureError):
         ground_state(np.eye(3, dtype=complex))
-    with pytest.raises(NumericalFailureError):
-        cosine_of_quadrature(1, 0, SQRT_PI, 8)
     with pytest.raises(NumericalFailureError):
         exp_of_quadrature(1, 0, SQRT_PI, 8)
