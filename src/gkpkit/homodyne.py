@@ -129,9 +129,10 @@ def estimate_witness(state_or_samples, u, count_per_quadrature=100_000, seed=0):
     the assembled integrand; the three sets are independent.
     """
     u = check_unit(u)
-    if isinstance(state_or_samples, (list, tuple)) and isinstance(
+    given = isinstance(state_or_samples, (list, tuple)) and isinstance(
         state_or_samples[0], QuadratureSamples
-    ):
+    )
+    if given:
         by_angle = {round(s.angle, 12): s for s in state_or_samples}
         try:
             samples = [by_angle[round(a, 12)] for a in MEASUREMENT_ANGLES]
@@ -139,14 +140,17 @@ def estimate_witness(state_or_samples, u, count_per_quadrature=100_000, seed=0):
             raise InvalidArgumentError(
                 f"samples must cover angles {MEASUREMENT_ANGLES}"
             ) from exc
-    else:
+    count = min(s.values.size for s in samples) if given else count_per_quadrature
+    if count < 2:  # one sample has no sample variance
+        raise InvalidArgumentError(
+            f"each quadrature needs at least 2 samples, got {count}"
+        )
+    if not given:
         state = np.asarray(state_or_samples, dtype=complex)
         samples = [
-            sample_quadrature(state, angle, count_per_quadrature, seed + i)
+            sample_quadrature(state, angle, count, seed + i)
             for i, angle in enumerate(MEASUREMENT_ANGLES)
         ]
-    if min(s.values.size for s in samples) < 2:
-        raise InvalidArgumentError("each quadrature needs at least 2 samples")
 
     # (samples, single-frequency, Bloch coefficient); x - p = sqrt(2) x_(-pi/4)
     setup = [

@@ -109,19 +109,25 @@ def _float_array(value, name, *shape):
     return array
 
 
+def _reject_constant(name):
+    """json's hook for NaN, Infinity and -Infinity, which no sweep holds."""
+    raise ValueError(f"non-finite number {name}")
+
+
 def load_sweep(path):
     """The SweepRecord stored in the sweep.json file at path.
 
-    Raises SchemaVersionError when the file is corrupt, is not a JSON
-    object, carries another schema version, lacks a key sweep writes (at
-    the top level, in the atlas or in a per-cutoff block), or is
-    inconsistent: cutoffs that are not distinct ascending ints naming the
-    per-cutoff blocks, or arrays whose shapes do not fit M (M, 3) points.
+    Raises SchemaVersionError when the file is corrupt (a NaN or an
+    infinity anywhere in it included), is not a JSON object, carries another
+    schema version, lacks a key sweep writes (at the top level, in the atlas
+    or in a per-cutoff block), or is inconsistent: cutoffs that are not
+    distinct ascending ints naming the per-cutoff blocks, or arrays whose
+    shapes do not fit M (M, 3) points.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
         raise SchemaVersionError(f"corrupt sweep file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaVersionError(f"corrupt sweep file {path}: not a JSON object")

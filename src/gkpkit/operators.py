@@ -35,7 +35,7 @@ def stabilizer(which, cutoff):
     return displacement_matrix(_STABILIZER_ALPHA[which], cutoff)
 
 
-@lru_cache(maxsize=4)  # a sweep builds each cutoff once; keep few sets alive
+@lru_cache(maxsize=2)  # a sweep asks for each cutoff once; keep few sets alive
 def build_operator_set(cutoff):
     """The read-only (4, N, N) array C = (O_1 + 1, O_x, O_y, O_z) of exact
     N-level truncations, so that O_GKP(u) = C[0] - u . C[1:].

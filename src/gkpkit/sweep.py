@@ -1,5 +1,7 @@
 """Bloch-sphere sweep: ground states and the expectation/infidelity matrices."""
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,16 +26,23 @@ class SweepRecord:
     parity_gap: dict = field(default_factory=dict)
 
 
+# rows per stacked eigensolve: bounds the (rows, n, n) stacks and eigh's
+# eigenvector output whatever the size of the atlas
+CHUNK_ROWS = 8
+
+
 def ground_states(points, cutoff):
     """Ground states of O_GKP(u) for every unit row u of `points` at one cutoff.
 
     Every term of O_GKP(u) is a cosine of a linear quadrature, so the
     operator commutes with photon-number parity (-1)^n and its even and odd
-    Fock levels do not couple. One stacked solve of the even blocks, of size
-    ceil(N/2), gives the ground states; one of the odd blocks gives their
-    lowest levels, which must lie above the even ground energies. O_GKP(u_j)
-    is linear in u_j, so one contraction of the ground states with the four
-    components gives every expectation.
+    Fock levels do not couple. Stacked solves of the even blocks, of size
+    ceil(N/2), give the ground states; stacked solves of the odd blocks give
+    their lowest levels, which must lie above the even ground energies. Each
+    stack holds at most CHUNK_ROWS points, and a row's result does not depend
+    on the rows solved with it. O_GKP(u_j) is linear in u_j, so one
+    contraction of the ground states with the four components gives every
+    expectation.
 
     Returns (energies, states, expectation, parity_gap): N-level states with
     zero odd amplitudes and the largest amplitude real and positive,
@@ -45,19 +54,23 @@ def ground_states(points, cutoff):
     comps = build_operator_set(cutoff)
     even, odd = comps[:, 0::2, 0::2], comps[:, 1::2, 1::2]
 
-    def stack(block):
+    def stack(block, rows):
         # one (1, 3) @ (3, n*n) product per point, the bits of a per-point
         # tensordot, so a row does not depend on the rest of the batch
-        terms = points.astype(complex)[:, None] @ block[1:].reshape(3, -1)
+        terms = points[rows].astype(complex)[:, None] @ block[1:].reshape(3, -1)
         terms = terms.reshape(-1, *block.shape[1:])
         return np.subtract(block[0], terms, out=terms)
 
-    try:  # the odd stack is freed before the even one is built
-        odd_ground = eigvalsh(stack(odd))[:, 0]
-        evals, evecs = eigh(stack(even))
+    energies, odd_ground = np.empty((2, len(points)))
+    vecs = np.empty((len(points), even.shape[1]), dtype=complex)
+    try:
+        for start in range(0, len(points), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            odd_ground[rows] = eigvalsh(stack(odd, rows))[:, 0]
+            evals, evecs = eigh(stack(even, rows))
+            energies[rows], vecs[rows] = evals[:, 0], evecs[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("eigensolver failed", cutoff=cutoff) from exc
-    energies = evals[:, 0]
     gaps = odd_ground - energies
     bad = np.flatnonzero(~(gaps > 0))
     if bad.size:
@@ -67,7 +80,6 @@ def ground_states(points, cutoff):
             cutoff=cutoff,
             parity_gap=float(gaps[bad[0]]),
         )
-    vecs = evecs[:, :, 0]
     parts = np.einsum("mi,kij,mj->mk", vecs.conj(), even, vecs).real
     expectation = parts[:, :1] - parts[:, 1:] @ points.T
     peak = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
@@ -76,13 +88,24 @@ def ground_states(points, cutoff):
     return energies, states, expectation, float(gaps.min())
 
 
+def usable_cores():
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(atlas, cutoffs, done=None):
     """Fill a SweepRecord over all (state, cutoff) combinations.
 
     A cutoff that the SweepRecord `done` holds is taken from it, with its
-    parity gap when it has one; the rest are computed. Deterministic for
-    fixed atlas and cutoffs under a fixed BLAS thread count; the CLI runs
-    every command on one BLAS thread.
+    parity gap when it has one. The rest are solved on a pool of one thread
+    per usable core, largest cutoff first, and read back in ascending order:
+    when solves fail, the error raised is that of the smallest failing
+    cutoff, as in a serial loop, and cutoffs still queued are cancelled.
+    Each solve runs on the caller's BLAS threads; the CLI runs every command
+    on one, so the record is deterministic for fixed atlas and cutoffs and
+    does not depend on the pool size.
     """
     cutoffs = [int(n) for n in cutoffs]
     if sorted(set(cutoffs)) != cutoffs:
@@ -93,17 +116,25 @@ def run_sweep(atlas, cutoffs, done=None):
         cutoffs=cutoffs,
         infidelity=infidelity_matrix(points),
     )
+    todo = []
     for cutoff in cutoffs:
         if done is not None and cutoff in done.expectation:
             record.expectation[cutoff] = done.expectation[cutoff]
             record.ground_energies[cutoff] = done.ground_energies[cutoff]
             if cutoff in done.parity_gap:
                 record.parity_gap[cutoff] = done.parity_gap[cutoff]
-            continue
-        energies, _, expectation, gap = ground_states(points, cutoff)
-        record.expectation[cutoff] = expectation
-        record.ground_energies[cutoff] = energies
-        record.parity_gap[cutoff] = gap
+        else:
+            todo.append(cutoff)
+    pool = ThreadPoolExecutor(max_workers=usable_cores())
+    try:
+        solves = {n: pool.submit(ground_states, points, n) for n in reversed(todo)}
+        for cutoff in todo:
+            energies, _, expectation, gap = solves[cutoff].result()
+            record.expectation[cutoff] = expectation
+            record.ground_energies[cutoff] = energies
+            record.parity_gap[cutoff] = gap
+    finally:
+        pool.shutdown(cancel_futures=True)
     return record
 
 

@@ -246,10 +246,14 @@ def valid_sweep_text(tmp_path_factory):
         lambda doc: doc["per_cutoff"]["10"].update(expectation=[[0.5]]),
         lambda doc: doc["per_cutoff"]["10"].update(expectation="abc"),
         lambda doc: doc.update(cutoffs=[10, 10, 20, 30, 40]),
+        # json.dumps writes these as the bare words NaN and Infinity
+        lambda doc: doc["per_cutoff"]["10"]["expectation"][0].__setitem__(1, math.nan),
+        lambda doc: doc["per_cutoff"]["10"].update(parity_gap=math.inf),
     ],
     ids=["truncated", "list", "missing_keys", "per_cutoff_list", "empty_atlas",
          "empty_cutoff_block", "cutoffs_not_a_list", "cutoff_without_block",
-         "1x1_expectation", "string_expectation", "duplicate_cutoffs"],
+         "1x1_expectation", "string_expectation", "duplicate_cutoffs",
+         "nan_expectation", "infinite_parity_gap"],
 )
 def test_bad_sweep_file_exits_2_on_resume_and_analyze(
     tmp_path, capsys, valid_sweep_text, text
@@ -264,7 +268,9 @@ def test_bad_sweep_file_exits_2_on_resume_and_analyze(
     assert main(resume) == 2
     assert bad.read_text() == text
     assert main(["analyze", "--sweep", str(bad), "--out", str(tmp_path / "an")]) == 2
-    assert "corrupt sweep file" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(f"corrupt sweep file {bad}" in line for line in err)
 
 
 def test_analyze_writes_failed_windows(tmp_path):
@@ -341,6 +347,7 @@ def test_invalid_bloch_exits_2(tmp_path, capsys):
         ["sweep", "--cutoffs", "0:10:5"],
         ["groundstate", "--u", "H", "--cutoff", "10", "--grid=a:b:c"],
         ["groundstate", "--u", "H", "--cutoff", "10", "--grid=-1:1:5"],
+        ["measure", "--u", "0", "--cutoff", "10", "--counts", "0"],
     ],
 )
 def test_bad_argument_exits_2_and_writes_nothing(tmp_path, capsys, args):
@@ -348,6 +355,14 @@ def test_bad_argument_exits_2_and_writes_nothing(tmp_path, capsys, args):
     assert main(args + ["--out", str(out)]) == 2
     assert not out.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("counts", ["0", "1"])
+def test_measure_names_the_two_sample_minimum(tmp_path, capsys, counts):
+    args = ["measure", "--u", "0", "--cutoff", "10", "--counts", counts]
+    assert main(args + ["--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: each quadrature needs at least 2 samples, got {counts}\n"
 
 
 def test_unknown_flag_exits_2(capsys):

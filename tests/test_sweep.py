@@ -1,3 +1,7 @@
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from gkpkit.errors import (
     NumericalFailureError,
 )
 from gkpkit.fock import expectation, ground_state
+from gkpkit.io_utils import load_sweep
 from gkpkit.operators import build_operator_set, gkp_operator
 from gkpkit.sweep import (
     diagonal_violations,
@@ -214,14 +219,20 @@ def test_command_exits_3_on_odd_sector_ground_state(
 
 
 @pytest.mark.parametrize("cutoff", [5, 6, 51, 120])
-def test_ground_states_rows_do_not_depend_on_the_batch(cutoff):
+def test_ground_states_rows_do_not_depend_on_the_batch(monkeypatch, cutoff):
     # `groundstate --u X` must report the energy the sweep records for X
     points = order_greedy(sample_sphere(0.35, 0)).points
-    energies, states, _, _ = sweep.ground_states(points, cutoff)
+    assert len(points) % sweep.CHUNK_ROWS  # the desk atlas ends in a short chunk
+    result = sweep.ground_states(points, cutoff)
+    energies, states, _, _ = result
     for i in range(len(points)):
         energy, state, _, _ = sweep.ground_states(points[i : i + 1], cutoff)
         assert energy[0] == energies[i]
         np.testing.assert_array_equal(state[0], states[i])
+    # solving the whole atlas in one stack changes no bit of any output
+    monkeypatch.setattr(sweep, "CHUNK_ROWS", len(points))
+    for chunked, whole in zip(result, sweep.ground_states(points, cutoff)):
+        np.testing.assert_array_equal(chunked, whole)
 
 
 def test_core_states_at_large_cutoff():
@@ -256,3 +267,108 @@ def test_ground_states_rejects_points_that_are_not_unit_rows(points):
     # would give a negative "ground energy"
     with pytest.raises(InvalidArgumentError):
         sweep.ground_states(points, 10)
+
+
+POOL_CUTOFFS = [10, 15, 20, 25, 30, 35, 40]
+
+
+def test_sweep_file_does_not_depend_on_the_pool_size(monkeypatch, tmp_path):
+    # every cutoff is stored under its own key whatever order the solves end in
+    args = ["sweep", "--delta", "1.2", "--cutoffs", "10:40:5"]
+    files = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(sweep, "usable_cores", lambda cores=cores: cores)
+        out = tmp_path / f"pool{cores}"
+        assert main(args + ["--out", str(out)]) == 0
+        text = (out / "sweep.json").read_text()
+        files[cores] = re.sub(r'"timestamp": "[^"]*"', "", text)
+    assert files[1] == files[2]
+    record = load_sweep(tmp_path / "pool2" / "sweep.json")
+    points = record.atlas.points
+    for cutoff in POOL_CUTOFFS:
+        energies, _, expectation, gap = sweep.ground_states(points, cutoff)
+        np.testing.assert_array_equal(record.expectation[cutoff], expectation)
+        np.testing.assert_array_equal(record.ground_energies[cutoff], energies)
+        assert record.parity_gap[cutoff] == gap
+
+
+def test_run_sweep_on_more_threads_than_cores_matches_one_thread(monkeypatch):
+    # eight threads share the operator cache; a lost or crossed result would
+    # leave a cutoff missing or holding another cutoff's matrices
+    atlas = Atlas(points=STABILIZER_POINTS, labels=[""] * 6)
+    cutoffs = list(range(5, 65, 5))
+    monkeypatch.setattr(sweep, "usable_cores", lambda: 1)
+    serial = run_sweep(atlas, cutoffs)
+    monkeypatch.setattr(sweep, "usable_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            pooled = run_sweep(atlas, cutoffs)
+            assert sorted(pooled.expectation) == cutoffs
+            for n in cutoffs:
+                np.testing.assert_array_equal(pooled.expectation[n], serial.expectation[n])
+                assert pooled.parity_gap[n] == serial.parity_gap[n]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_run_sweep_submits_the_largest_cutoff_first(monkeypatch):
+    solved = []
+
+    def logged(points, cutoff):
+        solved.append(cutoff)
+        return solve(points, cutoff)
+
+    solve = sweep.ground_states
+    monkeypatch.setattr(sweep, "ground_states", logged)
+    monkeypatch.setattr(sweep, "usable_cores", lambda: 1)
+    atlas = Atlas(points=STABILIZER_POINTS, labels=[""] * 6)
+    done = run_sweep(atlas, [10, 20])
+    run_sweep(atlas, [10, 15, 20, 25], done=done)
+    assert solved == [20, 10, 25, 15]
+
+
+def test_run_sweep_solves_as_many_cutoffs_at_once_as_there_are_cores(monkeypatch):
+    # both solves must be in flight together to pass the barrier
+    barrier = threading.Barrier(2, timeout=10)
+
+    def meet(points, cutoff):
+        barrier.wait()
+        return solve(points, cutoff)
+
+    solve = sweep.ground_states
+    monkeypatch.setattr(sweep, "ground_states", meet)
+    monkeypatch.setattr(sweep, "usable_cores", lambda: 2)
+    atlas = Atlas(points=STABILIZER_POINTS, labels=[""] * 6)
+    assert sorted(run_sweep(atlas, [10, 20]).expectation) == [10, 20]
+
+
+def _fail_at(failing):
+    solve = sweep.ground_states
+
+    def ground_states(points, cutoff):
+        if cutoff in failing:
+            raise NumericalFailureError(f"failed at N = {cutoff}", cutoff=cutoff)
+        return solve(points, cutoff)
+
+    return ground_states
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_failing_cutoff_in_the_pool_raises_like_the_serial_loop(
+    monkeypatch, tmp_path, capsys, cores
+):
+    # the serial loop stopped at the smallest failing cutoff, 20; the pool
+    # solves 35 first, and the error must still name 20
+    monkeypatch.setattr(sweep, "ground_states", _fail_at({20, 35}))
+    monkeypatch.setattr(sweep, "usable_cores", lambda: cores)
+    atlas = Atlas(points=STABILIZER_POINTS, labels=[""] * 6)
+    with pytest.raises(NumericalFailureError) as info:
+        run_sweep(atlas, POOL_CUTOFFS)
+    assert info.value.diagnostics == {"cutoff": 20}
+    out = tmp_path / "out"
+    args = ["sweep", "--delta", "1.2", "--cutoffs", "10:40:5", "--out", str(out)]
+    assert main(args) == 3
+    assert "failed at N = 20" in capsys.readouterr().err
+    assert not out.exists()
