@@ -106,7 +106,7 @@ def ksg_mutual_information(xs, ys, k=4):
     )
 
 
-def regression_per_cutoff(record, ksg_k=4):
+def regression_per_cutoff(record):
     """Per-cutoff linear fit of expectation vs infidelity over all pairs."""
     x = record.infidelity.ravel()
     if x.size < 3:
@@ -116,7 +116,7 @@ def regression_per_cutoff(record, ksg_k=4):
         y = record.expectation[cutoff].ravel()
         slope, intercept = np.polyfit(x, y, 1)
         r = np.corrcoef(x, y)[0, 1]
-        mi = ksg_mutual_information(x, y, k=ksg_k)
+        mi = ksg_mutual_information(x, y)
         stats[cutoff] = RegressionStats(
             slope=float(slope),
             intercept=float(intercept),

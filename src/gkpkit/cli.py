@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import analysis, bloch, gaussian, homodyne, io_utils, sweep
-from .errors import GkpError, InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .io_utils import load_sweep
 from .wigner import wigner as wigner_fn
 
@@ -156,18 +156,11 @@ def cmd_groundstate(args):
     return EXIT_OK
 
 
-def _sweep_config(args):
-    return {
-        "command": "sweep",
-        "delta": args.delta,
-        "seed": args.seed,
-        "cutoffs": parse_cutoffs(args.cutoffs),
-    }
-
-
 def cmd_sweep(args):
-    config = _sweep_config(args)
-    cutoffs = config["cutoffs"]
+    cutoffs = parse_cutoffs(args.cutoffs)
+    config = {
+        "command": "sweep", "delta": args.delta, "seed": args.seed, "cutoffs": cutoffs
+    }
     atlas = bloch.order_greedy(bloch.sample_sphere(args.delta, args.seed))
     path = os.path.join(args.out, "sweep.json")
     old = None
@@ -185,8 +178,8 @@ def cmd_sweep(args):
 
 def cmd_analyze(args):
     record = load_sweep(args.sweep)
-    config = {"command": "analyze", "sweep": args.sweep, "ksg_k": args.ksg_k}
-    stats = analysis.regression_per_cutoff(record, ksg_k=args.ksg_k)
+    config = {"command": "analyze", "sweep": args.sweep}
+    stats = analysis.regression_per_cutoff(record)
     out = _ensure_out(args.out)
     rows = [
         (n, s.slope, s.intercept, s.correlation_error, s.mutual_information)
@@ -239,15 +232,9 @@ def cmd_bound(args):
             targets.extend(bloch.core_states())
         else:
             targets.append((spec, parse_bloch(spec)))
-    config = {
-        "command": "bound",
-        "budget": args.budget,
-        "rmax": args.rmax,
-        "seed": args.seed,
-    }
+    config = {"command": "bound", "budget": args.budget, "seed": args.seed}
     numeric, argmin = gaussian.minimize_over_gaussians(
-        np.array([u for _, u in targets]), budget=args.budget, seed=args.seed,
-        r_max=args.rmax,
+        np.array([u for _, u in targets]), budget=args.budget, seed=args.seed
     )
     out = _ensure_out(args.out)
     rows = []
@@ -337,7 +324,6 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="regression and extrapolation of a sweep")
     p.add_argument("--sweep", required=True)
-    p.add_argument("--ksg-k", type=int, default=4)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_analyze)
 
@@ -345,7 +331,6 @@ def build_parser():
     p.add_argument("--u", action="append", required=True,
                    help="Bloch vector, alias, or 'core' (repeatable)")
     p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--rmax", type=float, default=6.0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_bound)
@@ -394,9 +379,6 @@ def main(argv=None):
         return EXIT_INVALID_ARGS
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except GkpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

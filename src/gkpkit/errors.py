@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all gkpkit modules."""
+"""Exception hierarchy shared by all gkpkit modules: one class per CLI exit code."""
 
 
 class GkpError(Exception):
@@ -6,28 +6,16 @@ class GkpError(Exception):
 
 
 class InvalidArgumentError(GkpError):
-    """A caller-supplied argument violates a precondition."""
-
-
-class DegenerateInputError(InvalidArgumentError):
-    """Input is formally valid but degenerate (e.g. constant matrix)."""
+    """A caller-supplied argument or file violates a precondition (exit 2)."""
 
 
 class NumericalFailureError(GkpError):
-    """A numerical routine (eigensolver, power-law fit) failed."""
+    """A numerical routine failed (exit 3). Keyword diagnostics are kept in
+    `diagnostics` and appended to the message as 'key=value' pairs."""
 
     def __init__(self, message, **diagnostics):
+        if diagnostics:
+            shown = ", ".join(f"{key}={value}" for key, value in diagnostics.items())
+            message = f"{message} ({shown})"
         super().__init__(message)
-        self.diagnostics = dict(diagnostics)
-
-
-class MassDeficitError(GkpError):
-    """A quadrature grid fails to capture enough probability mass."""
-
-    def __init__(self, message, captured_mass):
-        super().__init__(message)
-        self.captured_mass = captured_mass
-
-
-class SchemaVersionError(InvalidArgumentError):
-    """A persisted file carries an unknown or missing schema version."""
+        self.diagnostics = diagnostics

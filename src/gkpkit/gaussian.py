@@ -14,6 +14,10 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .operators import SQRT_PI, check_unit
 
+# squeezing-magnitude clip of the bound search: the minimum at 8 equals that
+# at 6 to 1e-4 (test_rmax_saturation)
+R_MAX = 6.0
+
 
 @dataclass(frozen=True)
 class GaussianPureParams:
@@ -38,8 +42,9 @@ def covariance_from_params(g):
     return sxx, sxp, spp
 
 
-def gaussian_R(g, u):
-    """The six-term characteristic-function sum R; <O_GKP> = 2 - R.
+def gaussian_expectation(g, u):
+    """<O_GKP(u)> = 2 - R on the pure Gaussian state g, where R is the
+    six-term characteristic-function sum.
 
     u is one Bloch vector, checked here, or an already-checked (..., 3)
     stack that broadcasts against the fields of g.
@@ -60,12 +65,7 @@ def gaussian_R(g, u):
         + u[..., 1] * np.exp(-0.5 * math.pi * var_xp) * np.cos(SQRT_PI * (x0 - p0))
         + u[..., 0] * np.exp(-0.5 * math.pi * spp) * np.cos(SQRT_PI * p0)
     )
-    return double + single
-
-
-def gaussian_expectation(g, u):
-    """<O_GKP(u)> on the pure Gaussian state g."""
-    return 2.0 - gaussian_R(g, u)
+    return 2.0 - (double + single)
 
 
 def gaussian_bound(u):
@@ -176,32 +176,29 @@ def minimize(objective, x0, xatol, fatol, maxiter):
     return NelderMeadResult(x=x, fun=fun, nfev=nfev)
 
 
-def minimize_over_gaussians(u, budget=400, seed=0, r_max=6.0):
-    """Multi-start Nelder-Mead minimization of <O_GKP(u)> over pure Gaussians.
+def minimize_over_gaussians(targets, budget, seed=0):
+    """Multi-start Nelder-Mead minimization of <O_GKP(u)> over pure Gaussians,
+    for each Bloch vector u of the (T, 3) stack targets.
 
-    u is one Bloch vector or a (T, 3) stack of them; every start of every
-    target is one lane of a single lockstep `minimize`. The squeezing
-    magnitude is clipped to [-r_max, r_max] inside the objective, standing
-    in for the infinite-squeezing limit. Returns, per target, the best value
-    seen across every objective evaluation of every start (ties go to the
-    lowest start) with the corresponding parameters: a value of shape () or
-    (T,) and GaussianPureParams whose fields have that shape.
+    Every start of every target is one lane of a single lockstep `minimize`.
+    The squeezing magnitude is clipped to [-R_MAX, R_MAX] inside the
+    objective, standing in for the infinite-squeezing limit. Returns, per
+    target, the best value seen across every objective evaluation of every
+    start (ties go to the lowest start) with the corresponding parameters: a
+    (T,) array and GaussianPureParams whose fields have shape (T,).
     """
-    single = np.ndim(u) == 1
-    targets = np.array([check_unit(t) for t in np.atleast_2d(u)])
+    targets = np.array([check_unit(t) for t in targets])
     if budget < 100:
         raise InvalidArgumentError(f"budget must be >= 100, got {budget}")
-    if not 0 <= r_max < math.inf:
-        raise InvalidArgumentError(f"r_max must be finite and >= 0, got {r_max}")
     grid = _start_grid()
-    low, high = (0, 0, 0, -math.pi / 2), (2 * SQRT_PI, 2 * SQRT_PI, r_max, math.pi / 2)
+    low, high = (0, 0, 0, -math.pi / 2), (2 * SQRT_PI, 2 * SQRT_PI, R_MAX, math.pi / 2)
     rng = np.random.default_rng(seed)
     drawn = rng.uniform(low, high, size=(max(budget - len(grid), 0), 4))
     starts = np.concatenate((grid, drawn))
 
     def params(points):
         x0, p0, r, theta = points.T
-        return GaussianPureParams(x0, p0, np.clip(r, -r_max, r_max), theta)
+        return GaussianPureParams(x0, p0, np.clip(r, -R_MAX, R_MAX), theta)
 
     if len(starts) > budget:
         # each target keeps its best starts, sorted stably by value
@@ -216,8 +213,4 @@ def minimize_over_gaussians(u, budget=400, seed=0, r_max=6.0):
     )
     best = np.argmin(result.fun.reshape(-1, budget), axis=1)
     best += budget * np.arange(len(targets))
-    values, points = result.fun[best], result.x[best]
-    if single:
-        values, points = values[0], points[0]
-    return values, params(points)
-
+    return result.fun[best], params(result.x[best])

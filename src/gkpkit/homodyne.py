@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, MassDeficitError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .operators import SQRT_PI, check_unit
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -95,19 +95,18 @@ def rotated_wavefunction(state, angle, grid):
     psi = wavefunction(rotated, grid)
     mass = np.trapezoid(np.abs(psi) ** 2, grid)
     if mass < 1 - 1e-6:
-        raise MassDeficitError(
+        raise NumericalFailureError(
             f"grid captures only {mass:.8f} of the probability mass",
             captured_mass=float(mass),
         )
     return psi
 
 
-def sample_quadrature(state, angle, count, seed, grid=None):
-    """Draw homodyne outcomes at the given angle by inverse-CDF sampling."""
+def sample_quadrature(state, angle, count, seed):
+    """Draw homodyne outcomes at the angle by inverse-CDF sampling on default_grid."""
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
-    if grid is None:
-        grid = default_grid(state)
+    grid = default_grid(state)
     psi = rotated_wavefunction(state, angle, grid)
     pdf = np.abs(psi) ** 2
     dx = np.diff(grid)

@@ -8,11 +8,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__ as ARTIFACT_VERSION
 from .bloch import Atlas
-from .errors import SchemaVersionError
+from .errors import InvalidArgumentError
 from .sweep import SweepRecord
 
-ARTIFACT_VERSION = "0.1.0"
 SWEEP_SCHEMA_VERSION = 1
 
 
@@ -117,7 +117,7 @@ def _reject_constant(name):
 def load_sweep(path):
     """The SweepRecord stored in the sweep.json file at path.
 
-    Raises SchemaVersionError when the file is corrupt (a NaN or an
+    Raises InvalidArgumentError when the file is corrupt (a NaN or an
     infinity anywhere in it included), is not a JSON object, carries another
     schema version, lacks a key sweep writes (at the top level, in the atlas
     or in a per-cutoff block), or is inconsistent: cutoffs that are not
@@ -128,24 +128,24 @@ def load_sweep(path):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
     except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
-        raise SchemaVersionError(f"corrupt sweep file {path}: {exc}") from exc
+        raise InvalidArgumentError(f"corrupt sweep file {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise SchemaVersionError(f"corrupt sweep file {path}: not a JSON object")
+        raise InvalidArgumentError(f"corrupt sweep file {path}: not a JSON object")
     if doc.get("schema_version") != SWEEP_SCHEMA_VERSION:
-        raise SchemaVersionError(
+        raise InvalidArgumentError(
             f"unknown sweep schema version {doc.get('schema_version')!r}; "
             f"expected {SWEEP_SCHEMA_VERSION}"
         )
     keys = {"delta", "seed", "cutoffs", "atlas", "infidelity", "per_cutoff"}
     if not keys <= doc.keys() or not isinstance(doc["per_cutoff"], dict):
         bad = sorted(keys - doc.keys()) or ["per_cutoff"]
-        raise SchemaVersionError(f"corrupt sweep file {path}: missing or bad {bad}")
+        raise InvalidArgumentError(f"corrupt sweep file {path}: missing or bad {bad}")
     blocks = [(doc["atlas"], {"points", "labels", "delta", "seed"})]
     for block in doc["per_cutoff"].values():
         blocks.append((block, {"expectation", "ground_energies"}))
     for block, wanted in blocks:
         if not isinstance(block, dict) or not wanted <= block.keys():
-            raise SchemaVersionError(
+            raise InvalidArgumentError(
                 f"corrupt sweep file {path}: a block lacks one of {sorted(wanted)}"
             )
     atlas, cutoffs = doc["atlas"], doc["cutoffs"]
@@ -174,7 +174,7 @@ def load_sweep(path):
             if "parity_gap" in block:  # absent from files written before it existed
                 record.parity_gap[n] = float(block["parity_gap"])
     except (TypeError, ValueError) as exc:
-        raise SchemaVersionError(f"corrupt sweep file {path}: {exc}") from exc
+        raise InvalidArgumentError(f"corrupt sweep file {path}: {exc}") from exc
     return record
 
 

@@ -8,7 +8,7 @@ import numpy as np
 from numpy.linalg import eigh, eigvalsh
 
 from .bloch import Atlas, infidelity_matrix
-from .errors import DegenerateInputError, InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .operators import build_operator_set, check_unit
 
 
@@ -76,7 +76,7 @@ def ground_states(points, cutoff):
     if bad.size:
         raise NumericalFailureError(
             "ground state is not in the even-parity sector",
-            bloch=tuple(points[bad[0]]),
+            bloch=tuple(points[bad[0]].tolist()),
             cutoff=cutoff,
             parity_gap=float(gaps[bad[0]]),
         )
@@ -143,7 +143,7 @@ def normalize_matrix(matrix):
     matrix = np.asarray(matrix, dtype=float)
     lo, hi = matrix.min(), matrix.max()
     if hi == lo:
-        raise DegenerateInputError("cannot normalize a constant matrix")
+        raise InvalidArgumentError("cannot normalize a constant matrix")
     return (matrix - lo) / (hi - lo)
 
 

@@ -338,9 +338,6 @@ def test_invalid_bloch_exits_2(tmp_path, capsys):
         ["sweep", "--cutoffs", "10", "--delta", "5"],
         ["groundstate", "--u", "0", "--cutoff", "10", "--wigner", "--grid=a:1:5"],
         ["groundstate", "--u", "0", "--cutoff", "10", "--wigner", "--grid=-1:1:x"],
-        ["bound", "--u", "0", "--rmax=-1"],
-        ["bound", "--u", "0", "--rmax", "nan"],
-        ["bound", "--u", "0", "--rmax", "inf"],
         ["measure", "--u", "0", "--cutoff", "10", "--counts", "1"],
         ["sweep", "--cutoffs", "30,10"],
         ["sweep", "--cutoffs", "10,10"],
@@ -368,6 +365,8 @@ def test_measure_names_the_two_sample_minimum(tmp_path, capsys, counts):
 def test_unknown_flag_exits_2(capsys):
     assert main(["atlas", "--bogus", "1"]) == 2
     assert main(["sweep", "--workers", "2"]) == 2
+    assert main(["bound", "--u", "0", "--rmax", "6"]) == 2
+    assert main(["analyze", "--sweep", "x.json", "--ksg-k", "4"]) == 2
     capsys.readouterr()
 
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from gkpkit import gaussian
 from gkpkit.errors import InvalidArgumentError
 from gkpkit.fock import displacement_matrix, expectation, quadrature_matrix
 from gkpkit.gaussian import (
     GaussianPureParams,
     covariance_from_params,
-    gaussian_R,
     gaussian_bound,
     gaussian_expectation,
     minimize,
@@ -52,13 +52,12 @@ def test_gaussian_R_vacuum():
     ref = (2 * math.exp(-math.pi) + math.exp(-2 * math.pi)) / 3 + math.exp(
         -math.pi / 4
     )
-    assert gaussian_R(g, (0, 0, 1)) == pytest.approx(ref, abs=1e-12)
     assert gaussian_expectation(g, (0, 0, 1)) == pytest.approx(2 - ref, abs=1e-12)
 
 
 def test_gaussian_R_infinite_squeezing_limit():
     g = GaussianPureParams(0, 0, 18.0, 0.0)
-    assert gaussian_R(g, (0, 0, 1)) == pytest.approx(4 / 3, abs=1e-9)
+    assert 2 - gaussian_expectation(g, (0, 0, 1)) == pytest.approx(4 / 3, abs=1e-9)
 
 
 def test_gaussian_expectation_matches_fock_route():
@@ -126,21 +125,23 @@ def test_gaussian_bound_values():
     [(0, 0, 1), (S2, S2, 0), (S3, S3, S3)],
 )
 def test_minimize_reaches_analytic_bound(u):
-    value, params = minimize_over_gaussians(u, budget=150, seed=0)
+    (value,), params = minimize_over_gaussians([u], budget=150, seed=0)
     assert abs(value - gaussian_bound(u)) <= 1e-3
     assert value >= gaussian_bound(u) - 1e-9
-    assert abs(params.r) <= 6.0
+    assert abs(params.r[0]) <= gaussian.R_MAX
 
 
 def test_minimize_rejects_small_budget():
     with pytest.raises(InvalidArgumentError):
-        minimize_over_gaussians((0, 0, 1), budget=50)
+        minimize_over_gaussians([(0, 0, 1)], budget=50)
 
 
-def test_rmax_saturation():
-    v6, _ = minimize_over_gaussians((0, 0, 1), budget=120, seed=0, r_max=6.0)
-    v8, _ = minimize_over_gaussians((0, 0, 1), budget=120, seed=0, r_max=8.0)
-    assert abs(v6 - v8) < 1e-4
+def test_rmax_saturation(monkeypatch):
+    assert gaussian.R_MAX == 6.0
+    v6, _ = minimize_over_gaussians([(0, 0, 1)], budget=120, seed=0)
+    monkeypatch.setattr(gaussian, "R_MAX", 8.0)
+    v8, _ = minimize_over_gaussians([(0, 0, 1)], budget=120, seed=0)
+    assert abs(v6[0] - v8[0]) < 1e-4
 
 
 def test_non_gaussian_ground_state_beats_bound():
@@ -152,11 +153,10 @@ def test_non_gaussian_ground_state_beats_bound():
     assert val < gaussian_bound(u)
 
 
-def _clipped_expectation(points, u, r_max=6.0):
+def _clipped_expectation(points, u):
     x0, p0, r, theta = np.asarray(points, dtype=float).T
-    return gaussian_expectation(
-        GaussianPureParams(x0, p0, np.clip(r, -r_max, r_max), theta), u
-    )
+    r = np.clip(r, -gaussian.R_MAX, gaussian.R_MAX)
+    return gaussian_expectation(GaussianPureParams(x0, p0, r, theta), u)
 
 
 def test_lockstep_nelder_mead_matches_scipy_lane_by_lane(monkeypatch):
@@ -205,11 +205,12 @@ def test_lockstep_nelder_mead_matches_scipy_lane_by_lane(monkeypatch):
 def test_batched_search_equals_single_target_calls(budget):
     targets = np.array([(0, 0, 1.0), (S2, S2, 0), (S3, S3, S3), (0.6, -0.8, 0)])
     values, params = minimize_over_gaussians(targets, budget=budget, seed=3)
-    for i, u in enumerate(targets):
-        value, single = minimize_over_gaussians(u, budget=budget, seed=3)
-        assert value == values[i]
+    for i in range(len(targets)):
+        row = targets[i : i + 1]
+        value, single = minimize_over_gaussians(row, budget=budget, seed=3)
+        assert value[0] == values[i]
         for field in ("x0", "p0", "r", "theta"):
-            assert getattr(single, field) == getattr(params, field)[i]
+            assert getattr(single, field)[0] == getattr(params, field)[i]
 
 
 def test_batched_search_shapes():
@@ -218,5 +219,3 @@ def test_batched_search_shapes():
     assert values.shape == (2,)
     for field in ("x0", "p0", "r", "theta"):
         assert np.shape(getattr(params, field)) == (2,)
-    value, single = minimize_over_gaussians(targets[0], budget=100, seed=0)
-    assert np.shape(value) == () and np.shape(single.r) == ()

@@ -14,11 +14,7 @@ from gkpkit.bloch import (
     sample_sphere,
 )
 from gkpkit.cli import main
-from gkpkit.errors import (
-    DegenerateInputError,
-    InvalidArgumentError,
-    NumericalFailureError,
-)
+from gkpkit.errors import InvalidArgumentError, NumericalFailureError
 from gkpkit.fock import expectation, ground_state
 from gkpkit.io_utils import load_sweep
 from gkpkit.operators import build_operator_set, gkp_operator
@@ -99,7 +95,7 @@ def test_normalize_matrix_examples():
 
 
 def test_normalize_matrix_rejects_constant():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InvalidArgumentError):
         normalize_matrix(np.full((3, 3), 2.0))
 
 
@@ -214,7 +210,9 @@ def test_command_exits_3_on_odd_sector_ground_state(
 ):
     monkeypatch.setattr(sweep, "build_operator_set", _odd_ground_operator_set)
     assert main(args + ["--out", str(tmp_path)]) == 3
-    assert "even-parity" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "even-parity" in err
+    assert "cutoff=" in err and "parity_gap=" in err
     assert not any(tmp_path.iterdir())
 
 
