@@ -170,7 +170,9 @@ def extrapolate_slope(slopes):
     ns = np.array(sorted(slopes), dtype=float)
     ms = np.array([slopes[int(n)] for n in ns])
     if ns.size < 5:
-        raise InvalidArgumentError("need at least 5 cutoffs")
+        raise InvalidArgumentError(
+            f"need at least 5 cutoffs for extrapolation, got {ns.size}"
+        )
     window_starts = [n for n in ns if n > 20 and np.sum(ns >= n) >= 5] or [ns[0]]
     winners, failed = [], []
     for start in window_starts:

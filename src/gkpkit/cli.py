@@ -135,9 +135,7 @@ def cmd_groundstate(args):
     }
     rows = [(n, state[n].real, state[n].imag) for n in range(args.cutoff)]
     io_utils.write_csv(os.path.join(out, "state.csv"), ("n", "re", "im"), rows, config)
-    summary = {
-        "ground_energy": energy, "bloch": [float(v) for v in u], "cutoff": args.cutoff
-    }
+    summary = {"ground_energy": energy, "bloch": u, "cutoff": args.cutoff}
     if args.wigner:
         if axis is None:
             # the state's support, in steps of at most 0.1
@@ -166,7 +164,8 @@ def cmd_sweep(args):
     old = None
     if args.resume and os.path.exists(path):
         old = load_sweep(path)
-        if (old.atlas.delta, old.atlas.seed) != (args.delta, args.seed):
+        stale = old.atlas.points.tobytes() != atlas.points.tobytes()
+        if stale or old.atlas.labels != atlas.labels:
             print("resume: config mismatch, recomputing everything", file=sys.stderr)
             old = None
     record = sweep.run_sweep(atlas, cutoffs, done=old)
@@ -192,12 +191,10 @@ def cmd_analyze(args):
         config,
     )
     slopes = {n: s.slope for n, s in stats.items()}
-    if len(slopes) >= 5:
+    try:
         extrapolation = dataclasses.asdict(analysis.extrapolate_slope(slopes))
-    else:
-        extrapolation = {
-            "skipped": f"need at least 5 cutoffs for extrapolation, got {len(slopes)}"
-        }
+    except InvalidArgumentError as exc:
+        extrapolation = {"skipped": str(exc)}
         print("analyze: extrapolation skipped (too few cutoffs)", file=sys.stderr)
     io_utils.write_json(os.path.join(out, "extrapolation.json"), extrapolation, config)
 
@@ -278,10 +275,10 @@ def cmd_measure(args):
         {
             "value": estimate.value,
             "std_error": estimate.std_error,
-            "per_term": [list(t) for t in estimate.per_term],
+            "per_term": estimate.per_term,
             "exact_matrix_value": exact,
             "gaussian_bound": gaussian.gaussian_bound(u),
-            "bloch": [float(v) for v in u],
+            "bloch": u,
         },
         config,
     )
@@ -330,7 +327,8 @@ def build_parser():
     p = sub.add_parser("bound", help="Gaussian bound verification")
     p.add_argument("--u", action="append", required=True,
                    help="Bloch vector, alias, or 'core' (repeatable)")
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=int, default=200,
+                   help="Nelder-Mead starts per target, at least 108 (the start grid)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_bound)

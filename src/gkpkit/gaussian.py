@@ -180,7 +180,8 @@ def minimize_over_gaussians(targets, budget, seed=0):
     """Multi-start Nelder-Mead minimization of <O_GKP(u)> over pure Gaussians,
     for each Bloch vector u of the (T, 3) stack targets.
 
-    Every start of every target is one lane of a single lockstep `minimize`.
+    The starts, the 108 points of _start_grid() and budget - 108 seeded
+    draws, are each one lane per target of a single lockstep `minimize`.
     The squeezing magnitude is clipped to [-R_MAX, R_MAX] inside the
     objective, standing in for the infinite-squeezing limit. Returns, per
     target, the best value seen across every objective evaluation of every
@@ -188,28 +189,22 @@ def minimize_over_gaussians(targets, budget, seed=0):
     (T,) array and GaussianPureParams whose fields have shape (T,).
     """
     targets = np.array([check_unit(t) for t in targets])
-    if budget < 100:
-        raise InvalidArgumentError(f"budget must be >= 100, got {budget}")
     grid = _start_grid()
+    if budget < len(grid):
+        raise InvalidArgumentError(f"budget must be >= {len(grid)}, got {budget}")
     low, high = (0, 0, 0, -math.pi / 2), (2 * SQRT_PI, 2 * SQRT_PI, R_MAX, math.pi / 2)
     rng = np.random.default_rng(seed)
-    drawn = rng.uniform(low, high, size=(max(budget - len(grid), 0), 4))
+    drawn = rng.uniform(low, high, size=(budget - len(grid), 4))
     starts = np.concatenate((grid, drawn))
 
     def params(points):
         x0, p0, r, theta = points.T
         return GaussianPureParams(x0, p0, np.clip(r, -R_MAX, R_MAX), theta)
 
-    if len(starts) > budget:
-        # each target keeps its best starts, sorted stably by value
-        values = gaussian_expectation(params(starts), targets[:, None])
-        x0 = starts[np.argsort(values, axis=1, kind="stable")[:, :budget]]
-    else:
-        x0 = np.broadcast_to(starts, (len(targets), budget, 4))
     u_of_lane = np.repeat(targets, budget, axis=0)
     result = minimize(
         lambda points, lanes: gaussian_expectation(params(points), u_of_lane[lanes]),
-        x0.reshape(-1, 4), xatol=1e-7, fatol=1e-10, maxiter=2000,
+        np.tile(starts, (len(targets), 1)), xatol=1e-7, fatol=1e-10, maxiter=2000,
     )
     best = np.argmin(result.fun.reshape(-1, budget), axis=1)
     best += budget * np.arange(len(targets))

@@ -61,28 +61,34 @@ def write_csv(path, fieldnames, rows, config):
             fh.write("".join(",".join(map(repr, row)) + "\n" for row in block))
 
 
+def _numpy_to_json(value):
+    """json's `default` hook: numpy arrays and scalars go as lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(path, payload, config):
-    """JSON file with a 'metadata' block holding the config echo."""
+    """JSON file with a 'metadata' block holding the config echo. json streams
+    the indented document, so one numpy array at a time exists as lists."""
     doc = {"metadata": metadata_block(config)}
     doc.update(payload)
     with _replacing(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True, default=_numpy_to_json)
         fh.write("\n")
 
 
 def write_sweep(path, record, config):
     """sweep.json for a SweepRecord: the atlas, the infidelity matrix and one
-    block per cutoff, under the current schema version. A cutoff without a
-    parity gap (read from a file written before it existed) is written
-    without one."""
-    per_cutoff = {}
-    for n in record.cutoffs:
-        block = per_cutoff[str(n)] = {
-            "expectation": record.expectation[n].tolist(),
-            "ground_energies": record.ground_energies[n].tolist(),
+    block per cutoff, under the current schema version."""
+    per_cutoff = {
+        str(n): {
+            "expectation": record.expectation[n],
+            "ground_energies": record.ground_energies[n],
+            "parity_gap": record.parity_gap[n],
         }
-        if n in record.parity_gap:
-            block["parity_gap"] = record.parity_gap[n]
+        for n in record.cutoffs
+    }
     atlas = record.atlas
     payload = {
         "schema_version": SWEEP_SCHEMA_VERSION,
@@ -90,12 +96,12 @@ def write_sweep(path, record, config):
         "seed": atlas.seed,
         "cutoffs": record.cutoffs,
         "atlas": {
-            "points": atlas.points.tolist(),
+            "points": atlas.points,
             "labels": atlas.labels,
             "delta": atlas.delta,
             "seed": atlas.seed,
         },
-        "infidelity": record.infidelity.tolist(),
+        "infidelity": record.infidelity,
         "per_cutoff": per_cutoff,
     }
     write_json(path, payload, config)
@@ -142,7 +148,7 @@ def load_sweep(path):
         raise InvalidArgumentError(f"corrupt sweep file {path}: missing or bad {bad}")
     blocks = [(doc["atlas"], {"points", "labels", "delta", "seed"})]
     for block in doc["per_cutoff"].values():
-        blocks.append((block, {"expectation", "ground_energies"}))
+        blocks.append((block, {"expectation", "ground_energies", "parity_gap"}))
     for block, wanted in blocks:
         if not isinstance(block, dict) or not wanted <= block.keys():
             raise InvalidArgumentError(
@@ -171,8 +177,7 @@ def load_sweep(path):
             record.ground_energies[n] = _float_array(
                 block["ground_energies"], f"ground energies at N = {n}", m
             )
-            if "parity_gap" in block:  # absent from files written before it existed
-                record.parity_gap[n] = float(block["parity_gap"])
+            record.parity_gap[n] = float(block["parity_gap"])
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"corrupt sweep file {path}: {exc}") from exc
     return record

@@ -98,14 +98,13 @@ def usable_cores():
 def run_sweep(atlas, cutoffs, done=None):
     """Fill a SweepRecord over all (state, cutoff) combinations.
 
-    A cutoff that the SweepRecord `done` holds is taken from it, with its
-    parity gap when it has one. The rest are solved on a pool of one thread
-    per usable core, largest cutoff first, and read back in ascending order:
-    when solves fail, the error raised is that of the smallest failing
-    cutoff, as in a serial loop, and cutoffs still queued are cancelled.
-    Each solve runs on the caller's BLAS threads; the CLI runs every command
-    on one, so the record is deterministic for fixed atlas and cutoffs and
-    does not depend on the pool size.
+    A cutoff that the SweepRecord `done` holds is taken from it. The rest are
+    solved on a pool of one thread per usable core, largest cutoff first, and
+    read back in ascending order: when solves fail, the error raised is that
+    of the smallest failing cutoff, as in a serial loop, and cutoffs still
+    queued are cancelled. Each solve runs on the caller's BLAS threads; the
+    CLI runs every command on one, so the record is deterministic for fixed
+    atlas and cutoffs and does not depend on the pool size.
     """
     cutoffs = [int(n) for n in cutoffs]
     if sorted(set(cutoffs)) != cutoffs:
@@ -121,8 +120,7 @@ def run_sweep(atlas, cutoffs, done=None):
         if done is not None and cutoff in done.expectation:
             record.expectation[cutoff] = done.expectation[cutoff]
             record.ground_energies[cutoff] = done.ground_energies[cutoff]
-            if cutoff in done.parity_gap:
-                record.parity_gap[cutoff] = done.parity_gap[cutoff]
+            record.parity_gap[cutoff] = done.parity_gap[cutoff]
         else:
             todo.append(cutoff)
     pool = ThreadPoolExecutor(max_workers=usable_cores())

@@ -184,23 +184,30 @@ def test_sweep_resume_skips_done_cutoffs(tmp_path, monkeypatch):
     assert cli.load_sweep is io_utils.load_sweep
 
 
-def test_sweep_files_without_parity_gap_load_and_resume(tmp_path):
-    # sweep.json files written before the parity gap was recorded
-    sw = tmp_path / "sw"
+@pytest.mark.parametrize("edit", ["reverse", "relabel"])
+def test_sweep_resume_recomputes_for_another_atlas(tmp_path, capsys, edit):
+    # a self-consistent file for another atlas of the same delta and seed, as
+    # an older sampler would write: reversed order, or other core labels
+    sw, fresh = tmp_path / "sw", tmp_path / "fresh"
+    base = ["sweep", "--delta", "1.2", "--seed", "0"]
+    assert main(base + ["--cutoffs", "10,20", "--out", str(sw)]) == 0
     path = sw / "sweep.json"
-    base = ["sweep", "--delta", "1.2", "--seed", "0", "--out", str(sw)]
-    assert main(base + ["--cutoffs", "10,20"]) == 0
     doc = json.loads(path.read_text())
-    for block in doc["per_cutoff"].values():
-        del block["parity_gap"]
+    if edit == "reverse":
+        doc["atlas"]["points"].reverse()
+        doc["atlas"]["labels"].reverse()
+        doc["infidelity"] = [row[::-1] for row in doc["infidelity"][::-1]]
+        for block in doc["per_cutoff"].values():
+            block["expectation"] = [row[::-1] for row in block["expectation"][::-1]]
+            block["ground_energies"].reverse()
+    else:
+        doc["atlas"]["labels"] = [""] * len(doc["atlas"]["labels"])
     path.write_text(json.dumps(doc))
-    assert load_sweep(str(path)).parity_gap == {}
-    assert main(base + ["--cutoffs", "10,20,30", "--resume"]) == 0
-    doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 1
-    assert "parity_gap" not in doc["per_cutoff"]["10"]
-    assert doc["per_cutoff"]["30"]["parity_gap"] > 0
-    assert main(["analyze", "--sweep", str(path), "--out", str(tmp_path / "an")]) == 0
+    capsys.readouterr()
+    assert main(base + ["--cutoffs", "10,20,30", "--resume", "--out", str(sw)]) == 0
+    assert "config mismatch" in capsys.readouterr().err
+    assert main(base + ["--cutoffs", "10,20,30", "--out", str(fresh)]) == 0
+    assert _strip_timestamps(path) == _strip_timestamps(fresh / "sweep.json")
 
 
 def test_analyze_rejects_unknown_schema(tmp_path, capsys):
@@ -249,11 +256,12 @@ def valid_sweep_text(tmp_path_factory):
         # json.dumps writes these as the bare words NaN and Infinity
         lambda doc: doc["per_cutoff"]["10"]["expectation"][0].__setitem__(1, math.nan),
         lambda doc: doc["per_cutoff"]["10"].update(parity_gap=math.inf),
+        lambda doc: doc["per_cutoff"]["10"].pop("parity_gap"),
     ],
     ids=["truncated", "list", "missing_keys", "per_cutoff_list", "empty_atlas",
          "empty_cutoff_block", "cutoffs_not_a_list", "cutoff_without_block",
          "1x1_expectation", "string_expectation", "duplicate_cutoffs",
-         "nan_expectation", "infinite_parity_gap"],
+         "nan_expectation", "infinite_parity_gap", "missing_parity_gap"],
 )
 def test_bad_sweep_file_exits_2_on_resume_and_analyze(
     tmp_path, capsys, valid_sweep_text, text
@@ -505,7 +513,7 @@ for args in (
     ["groundstate", "--u", "H", "--cutoff", "20", "--wigner", "--grid=-4:4:9",
      "--out", "g"],
     ["measure", "--u", "0", "--cutoff", "30", "--counts", "1000", "--out", "m"],
-    ["bound", "--u", "0", "--budget", "100", "--out", "b"],
+    ["bound", "--u", "0", "--budget", "108", "--out", "b"],
 ):
     with recorder.span("cli.main"):
         codes.append(cli.main(args))

@@ -132,8 +132,9 @@ def test_minimize_reaches_analytic_bound(u):
 
 
 def test_minimize_rejects_small_budget():
-    with pytest.raises(InvalidArgumentError):
-        minimize_over_gaussians([(0, 0, 1)], budget=50)
+    for budget in (50, 107):
+        with pytest.raises(InvalidArgumentError, match="budget must be >= 108"):
+            minimize_over_gaussians([(0, 0, 1)], budget=budget)
 
 
 def test_rmax_saturation(monkeypatch):
@@ -201,7 +202,7 @@ def test_lockstep_nelder_mead_matches_scipy_lane_by_lane(monkeypatch):
     assert same_nfev >= 0.95 * len(x0)
 
 
-@pytest.mark.parametrize("budget", [200, 120, 100])
+@pytest.mark.parametrize("budget", [200, 120, 108])
 def test_batched_search_equals_single_target_calls(budget):
     targets = np.array([(0, 0, 1.0), (S2, S2, 0), (S3, S3, S3), (0.6, -0.8, 0)])
     values, params = minimize_over_gaussians(targets, budget=budget, seed=3)
@@ -215,7 +216,7 @@ def test_batched_search_equals_single_target_calls(budget):
 
 def test_batched_search_shapes():
     targets = np.array([(0, 0, 1.0), (S2, 0, S2)])
-    values, params = minimize_over_gaussians(targets, budget=100, seed=0)
+    values, params = minimize_over_gaussians(targets, budget=108, seed=0)
     assert values.shape == (2,)
     for field in ("x0", "p0", "r", "theta"):
         assert np.shape(getattr(params, field)) == (2,)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,42 @@ def test_json_metadata_key(tmp_path):
     assert doc["value"] == 1.5
     assert doc["metadata"]["seed"] == 9
     assert doc["metadata"]["artifact_version"] == ARTIFACT_VERSION
+
+
+def test_json_writes_numpy_values_as_python_values(tmp_path):
+    matrix = np.array([[0.1, -0.0], [5e-324, 1e308]])
+    numpy_values = {"m": matrix, "f": np.float64(0.1), "i": np.int64(-7),
+                    "b": np.bool_(True), "t": (np.int64(1), np.float64(2.5))}
+    python_values = {"m": [[0.1, -0.0], [5e-324, 1e308]], "f": 0.1, "i": -7,
+                     "b": True, "t": [1, 2.5]}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_json(a, numpy_values, {"seed": 0})
+    write_json(b, python_values, {"seed": 0})
+
+    def stripped(path):
+        return [ln for ln in path.read_text().splitlines() if "timestamp" not in ln]
+
+    assert stripped(a) == stripped(b)
+
+
+def test_sweep_write_holds_one_matrix_as_lists(tmp_path):
+    # the desk sweep's size: 54 points, 24 cutoffs; the lists of every matrix
+    # at once take about 2.4 MB
+    rng = np.random.default_rng(0)
+    atlas = Atlas(rng.standard_normal((54, 3)), [""] * 54, 0.35, 0)
+    cutoffs = list(range(5, 121, 5))
+    record = SweepRecord(atlas, cutoffs, infidelity=rng.random((54, 54)))
+    for n in cutoffs:
+        record.expectation[n] = rng.random((54, 54))
+        record.ground_energies[n] = rng.random(54)
+        record.parity_gap[n] = 1.0
+    tracemalloc.start()
+    try:
+        write_sweep(tmp_path / "sweep.json", record, {"seed": 0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6
 
 
 def test_csv_identical_modulo_timestamp(tmp_path):
@@ -87,7 +124,7 @@ def test_sweep_roundtrip_is_bit_exact(tmp_path):
     for n in (10, 20):
         record.expectation[n] = np.vstack((special, rng.standard_normal((3, 4))))
         record.ground_energies[n] = rng.standard_normal(4) * 1e-12
-    record.parity_gap[20] = 0.0625  # cutoff 10 has none, as in older files
+    record.parity_gap.update({10: 5e-324, 20: 0.0625})
     path, again = tmp_path / "sweep.json", tmp_path / "again.json"
     write_sweep(path, record, {"seed": 3})
     back = load_sweep(path)
@@ -100,11 +137,10 @@ def test_sweep_roundtrip_is_bit_exact(tmp_path):
     assert (back.atlas.labels, back.atlas.delta, back.atlas.seed) == (
         atlas.labels, 0.5, 3)
     assert back.cutoffs == [10, 20]
-    assert back.parity_gap == {20: 0.0625}
+    assert back.parity_gap == {10: 5e-324, 20: 0.0625}
     write_sweep(again, back, {"seed": 3})
 
     def stripped(path):
         return [ln for ln in path.read_text().splitlines() if "timestamp" not in ln]
 
     assert stripped(again) == stripped(path)
-    assert "parity_gap" not in json.loads(path.read_text())["per_cutoff"]["10"]
