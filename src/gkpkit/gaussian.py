@@ -33,11 +33,11 @@ class GaussianPureParams:
 def covariance_from_params(g):
     """Covariance entries (sxx, sxp, spp) of the pure Gaussian state."""
     e_minus = np.exp(-2 * g.r)
-    e_plus = np.exp(2 * g.r)
-    cos2 = np.cos(g.theta) ** 2
-    sin2 = np.sin(g.theta) ** 2
+    e_plus = 1 / e_minus
+    cos, sin = np.cos(g.theta), np.sin(g.theta)
+    cos2, sin2 = cos**2, sin**2
     sxx = 0.5 * (e_minus * cos2 + e_plus * sin2)
-    sxp = 0.25 * (e_minus - e_plus) * np.sin(2 * g.theta)
+    sxp = 0.5 * (e_minus - e_plus) * sin * cos
     spp = 0.5 * (e_minus * sin2 + e_plus * cos2)
     return sxx, sxp, spp
 
@@ -48,24 +48,28 @@ def gaussian_expectation(g, u):
 
     u is one Bloch vector, checked here, or an already-checked (..., 3)
     stack that broadcasts against the fields of g.
+
+    Each quadrature q in (x, x - p, p) with variance s and mean a enters as
+    e^(-pi s / 2) cos(sqrt(pi) a) and e^(-2 pi s) cos(2 sqrt(pi) a); the
+    second pair is the fourth power and 2 cos^2 - 1 of the first, so one
+    stacked exp and one stacked cos serve all six terms.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim < 2:
         u = check_unit(u)
     sxx, sxp, spp = covariance_from_params(g)
-    var_xp = sxx - 2 * sxp + spp
-    x0, p0 = g.x0, g.p0
-    double = (
-        np.exp(-2 * sxx * math.pi) * np.cos(2 * SQRT_PI * x0)
-        + np.exp(-2 * math.pi * var_xp) * np.cos(2 * SQRT_PI * (x0 - p0))
-        + np.exp(-2 * spp * math.pi) * np.cos(2 * SQRT_PI * p0)
-    ) / 3.0
-    single = (
-        u[..., 2] * np.exp(-0.5 * math.pi * sxx) * np.cos(SQRT_PI * x0)
-        + u[..., 1] * np.exp(-0.5 * math.pi * var_xp) * np.cos(SQRT_PI * (x0 - p0))
-        + u[..., 0] * np.exp(-0.5 * math.pi * spp) * np.cos(SQRT_PI * p0)
+    # rows: the variances, then the means, of x, x - p and p
+    stacked = np.stack(np.broadcast_arrays(
+        sxx, sxx - 2 * sxp + spp, spp, g.x0, g.x0 - g.p0, g.p0
+    ))
+    damp = np.exp(-0.5 * math.pi * stacked[:3])
+    wave = np.cos(SQRT_PI * stacked[3:])
+    double = (damp**2) ** 2 * (2 * wave**2 - 1)
+    single = damp * wave
+    return 2.0 - (
+        (double[0] + double[1] + double[2]) / 3.0
+        + u[..., 2] * single[0] + u[..., 1] * single[1] + u[..., 0] * single[2]
     )
-    return 2.0 - (double + single)
 
 
 def gaussian_bound(u):

@@ -43,10 +43,12 @@ def write_csv(path, fieldnames, rows, config):
     """CSV file preceded by '# key: value' metadata comment lines.
 
     rows is an iterable of rows for csv.writer, or a 2-D float array whose
-    values are written as repr of Python floats, 1024 rows at a time.
-    Everything after the metadata block is a deterministic function of the
-    rows; the timestamp lives on its own comment line so that files from
-    identical configs differ only there.
+    values are written as repr of Python floats, 1024 rows at a time. Each
+    distinct value of a block is formatted once: values are told apart by
+    their bits, so -0.0 and 0.0 keep their own text. Everything after the
+    metadata block is a deterministic function of the rows; the timestamp
+    lives on its own comment line so that files from identical configs
+    differ only there.
     """
     with _replacing(path) as fh:
         for key, value in metadata_block(config).items():
@@ -57,8 +59,14 @@ def write_csv(path, fieldnames, rows, config):
             writer.writerows(rows)
             return
         for start in range(0, len(rows), 1024):
-            block = rows[start:start + 1024].astype(float).tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block))
+            block = rows[start:start + 1024].astype(float)
+            # ravel first: numpy 2.0 shapes the inverse like the input
+            bits, inverse = np.unique(
+                block.ravel().view(np.int64), return_inverse=True
+            )
+            text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+            cells = text[inverse].reshape(block.shape).tolist()
+            fh.write("".join(",".join(row) + "\n" for row in cells))
 
 
 def _numpy_to_json(value):

@@ -10,7 +10,8 @@ stabilizers are displacements:
 """
 
 import math
-from functools import lru_cache
+import threading
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,18 +36,7 @@ def stabilizer(which, cutoff):
     return displacement_matrix(_STABILIZER_ALPHA[which], cutoff)
 
 
-@lru_cache(maxsize=2)  # a sweep asks for each cutoff once; keep few sets alive
-def build_operator_set(cutoff):
-    """The read-only (4, N, N) array C = (O_1 + 1, O_x, O_y, O_z) of exact
-    N-level truncations, so that O_GKP(u) = C[0] - u . C[1:].
-
-    O_1 = 1 - (1/3)[cos(2 sqrt(pi) p) + cos(2 sqrt(pi)(x-p)) + cos(2 sqrt(pi) x)]
-    O_x = cos(sqrt(pi) p), O_y = cos(sqrt(pi)(x-p)), O_z = cos(sqrt(pi) x),
-    each cosine realized as the Hermitian part of the corresponding truncated
-    displacement (squared stabilizers for O_1, single ones for the rest).
-    """
-    if cutoff < 2:
-        raise InvalidArgumentError(f"cutoff must be >= 2, got {cutoff}")
+def _operator_set(cutoff):
     comps = np.empty((4, cutoff, cutoff), dtype=complex)
     for k, which in enumerate("XYZ", start=1):
         comps[k] = hermitize(displacement_matrix(_STABILIZER_ALPHA[which], cutoff))
@@ -56,6 +46,51 @@ def build_operator_set(cutoff):
     comps[0] = np.eye(cutoff) - cos2 / 3.0 + np.eye(cutoff)
     comps.flags.writeable = False
     return comps
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+
+class _OperatorSets:
+    """build_operator_set(cutoff): the read-only (4, N, N) array
+    C = (O_1 + 1, O_x, O_y, O_z) of exact N-level truncations, so that
+    O_GKP(u) = C[0] - u . C[1:].
+
+    O_1 = 1 - (1/3)[cos(2 sqrt(pi) p) + cos(2 sqrt(pi)(x-p)) + cos(2 sqrt(pi) x)]
+    O_x = cos(sqrt(pi) p), O_y = cos(sqrt(pi)(x-p)), O_z = cos(sqrt(pi) x),
+    each cosine realized as the Hermitian part of the corresponding truncated
+    displacement (squared stabilizers for O_1, single ones for the rest).
+
+    Every entry of a displacement matrix is independent of the cutoff, so
+    the set at N is, bit for bit, the leading (4, N, N) block of the set at
+    any larger cutoff. The largest set built so far is kept and smaller
+    cutoffs get views of it: a sweep, which asks for its largest cutoff
+    first, builds once. cache_info() counts hits and misses as
+    functools.lru_cache's does.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._largest = None
+        self._hits = self._misses = 0
+
+    def __call__(self, cutoff):
+        if cutoff < 2:
+            raise InvalidArgumentError(f"cutoff must be >= 2, got {cutoff}")
+        with self._lock:
+            if self._largest is None or self._largest.shape[1] < cutoff:
+                self._largest = _operator_set(cutoff)
+                self._misses += 1
+            else:
+                self._hits += 1
+            return self._largest[:, :cutoff, :cutoff]
+
+    def cache_info(self):
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses)
+
+
+build_operator_set = _OperatorSets()
 
 
 def check_unit(u):

@@ -40,14 +40,24 @@ def wigner(state, xs, ps):
 
     y-step rule: an N-level state is negligible beyond the reach
     R = sqrt(2N + 1) + 6 in both quadratures, so y runs over [0, R] in steps
-    dy = pi / (R + max|p|).  The trapezoid sum equals the integral plus
+    dy <= pi / (R + max|p|).  The trapezoid sum equals the integral plus
     aliased copies W(x, p - k pi/dy), k != 0, and for every p on the axis
     these sit at momenta |p'| >= R, outside the state's support.
 
-    Cost: one N-step Hermite recurrence over 2 len(xs) len(ys) points plus
-    two GEMMs of size len(xs) x len(ys) x len(ps), where
-    len(ys) ~ R (R + max|p|) / pi.  Normalization is such that the integral
-    of W is one and the vacuum peaks at exactly 1/pi.
+    Lattice path: when the x-axis is evenly spaced to round-off with step h
+    (every `linspace`, a one-point axis included), dy = h/q with
+    q = ceil(h (R + max|p|)/pi), so every x_i +- y_l is a point
+    xs[0] + k dy of one 1-D lattice.  psi is evaluated once on that lattice
+    and gathered by index.  Other axes, and evenly spaced ones whose lattice
+    would hold more points than the 2 len(xs) len(ys) values it replaces,
+    take dy = pi / (R + max|p|) and evaluate psi at every x_i +- y_l.
+
+    Cost: one N-step Hermite recurrence over the lattice, about
+    (xs[-1] - xs[0])/dy + 2R/dy points (1243 for N = 150 on the 271-point
+    axis [-18, 18]), or over 2 len(xs) len(ys) points off it; then two GEMMs
+    of size len(xs) x len(ys) x len(ps), where len(ys) ~ R/dy.
+    Normalization is such that the integral of W is one and the vacuum peaks
+    at exactly 1/pi.
     """
     state = np.asarray(state, dtype=complex)
     xs = np.asarray(xs, dtype=float)
@@ -58,13 +68,11 @@ def wigner(state, xs, ps):
     if abs(norm - 1.0) > 1e-8:
         raise InvalidArgumentError(f"state must be normalized, |psi| = {norm}")
     reach = math.sqrt(2 * state.size + 1) + 6
-    dy = math.pi / (reach + np.abs(ps).max(initial=0.0))
-    ys = dy * np.arange(math.ceil(reach / dy) + 1)
-    # psi[0] = psi(x_i + y_l), psi[1] = psi(x_i - y_l)
-    psi = wavefunction(state, xs[:, None] + np.multiply.outer((1.0, -1.0), ys)[:, None])
+    max_dy = math.pi / (reach + np.abs(ps).max(initial=0.0))
+    dy, ys, psi_plus, psi_minus = _shifted_wavefunctions(state, xs, reach, max_dy)
     weights = np.full(ys.size, 2 * dy / math.pi)
     weights[0] /= 2
-    f = psi[0].conj() * psi[1] * weights
+    f = psi_plus.conj() * psi_minus * weights
     arg = 2 * np.multiply.outer(ys, ps)
     w = f.real @ np.cos(arg) - f.imag @ np.sin(arg)
 
@@ -73,6 +81,38 @@ def wigner(state, xs, ps):
     if abs(mass - 1.0) > 1e-4:
         log.warning("Wigner grid captures mass %.6f (deficit %.2e)", mass, 1 - mass)
     return grid
+
+
+def _lattice_step(xs, max_dy):
+    """The step h of an x-axis with xs[i] = xs[0] + i h to round-off (every
+    linspace); max_dy for a one-point axis, which lies on any lattice; None
+    for other axes."""
+    if xs.size < 2:
+        return max_dy if xs.size else None
+    h = (xs[-1] - xs[0]) / (xs.size - 1)
+    off = np.abs(xs - (xs[0] + h * np.arange(xs.size))).max()
+    return h if off <= 4 * np.finfo(float).eps * np.abs(xs).max() else None
+
+
+def _shifted_wavefunctions(state, xs, reach, max_dy):
+    """The y-step dy, ys = dy * (0, 1, .., ceil(reach / dy)) and the
+    (len(xs), len(ys)) arrays psi(x_i + y_l) and psi(x_i - y_l)."""
+    h = _lattice_step(xs, max_dy)
+    if h is not None:
+        q = math.ceil(h / max_dy)
+        dy = h / q
+        last = math.ceil(reach / dy)
+        # x_i +- y_l = xs[0] + (q i +- l) dy is entry last + q i +- l
+        lattice = np.arange(-last, q * (xs.size - 1) + last + 1)
+        if lattice.size <= 2 * xs.size * (last + 1):
+            on_lattice = wavefunction(state, xs[0] + dy * lattice)
+            centres = last + q * np.arange(xs.size)[:, None]
+            offsets = np.arange(last + 1)
+            return (dy, dy * offsets,
+                    on_lattice[centres + offsets], on_lattice[centres - offsets])
+    ys = max_dy * np.arange(math.ceil(reach / max_dy) + 1)
+    psi = wavefunction(state, xs[:, None] + np.multiply.outer((1.0, -1.0), ys)[:, None])
+    return max_dy, ys, psi[0], psi[1]
 
 
 def marginal_x(grid):

@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gkpkit.bloch import Atlas
 from gkpkit.io_utils import (
@@ -113,6 +116,25 @@ def test_csv_float_array_rows_match_formatted_rows(tmp_path):
     values = np.vstack((special, np.random.default_rng(0).standard_normal((2500, 3))))
     write_csv(tmp_path / "a.csv", ("x", "y", "z"), values, {"seed": 0})
     _, header, rows = read_csv(tmp_path / "a.csv")
+    assert rows == [[repr(float(v)) for v in row] for row in values]
+
+
+# values whose repr tells apart what == does not (-0.0 and 0.0), the
+# subnormal range, the infinities and short and long reprs
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+                0.1, 1.0, 2.0, -7.5e12, np.inf, -np.inf)
+
+
+@given(arrays(
+    np.float64,
+    st.tuples(st.integers(1, 40), st.integers(1, 4)),
+    elements=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False)),
+))
+@example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [5e-324, -np.inf]]))
+def test_csv_float_array_cells_are_reprs_of_each_value(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("csv") / "a.csv"
+    write_csv(path, [f"c{j}" for j in range(values.shape[1])], values, {"seed": 0})
+    _, _, rows = read_csv(path)
     assert rows == [[repr(float(v)) for v in row] for row in values]
 
 

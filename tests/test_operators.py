@@ -1,6 +1,11 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from gkpkit import operators
 from gkpkit.bloch import core_states
 from gkpkit.errors import InvalidArgumentError
 from gkpkit.fock import exp_of_quadrature, expectation, ground_state, hermitize
@@ -158,3 +163,56 @@ def test_operator_set_is_read_only():
     ops = build_operator_set(30)
     with pytest.raises(ValueError):
         ops[1][0, 0] = 1.0
+
+
+def test_operator_sets_are_leading_blocks_of_the_largest_bit_for_bit():
+    sets = operators._OperatorSets()
+    largest = sets(151)
+    for n in (2, 3, 17, 64, 149, 150, 151):
+        block = sets(n)
+        assert block.shape == (4, n, n) and not block.flags.writeable
+        assert block.tobytes() == operators._operator_set(n).tobytes()
+    assert sets.cache_info() == (7, 1)
+    with pytest.raises(InvalidArgumentError):
+        sets(1)
+    assert sets(152).tobytes() == operators._operator_set(152).tobytes()
+    assert sets.cache_info() == (7, 2)
+    assert largest.shape == (4, 151, 151)
+
+
+def test_operator_sets_from_many_threads_equal_fresh_builds(monkeypatch):
+    # eight threads ask for cutoffs in different orders while each build
+    # sleeps, so the kept set is replaced while others wait to slice it: a
+    # block of the wrong set or size, or a kept set that shrinks (two builds
+    # at once, the larger stored first), fails
+    sets = operators._OperatorSets()
+    cutoffs = [5, 40, 12, 60, 33, 2, 59, 21]
+    fresh = {n: operators._operator_set(n).tobytes() for n in cutoffs}
+    built, wrong = [], []
+
+    def slow_build(cutoff):
+        built.append(cutoff)
+        time.sleep(0.002)
+        return build(cutoff)
+
+    def ask(shift):
+        for n in cutoffs[shift:] + cutoffs[:shift]:
+            if sets(n).tobytes() != fresh[n]:
+                wrong.append(n)
+
+    build = operators._operator_set
+    monkeypatch.setattr(operators, "_operator_set", slow_build)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert built == sorted(set(built)) and built[-1] == 60
+    assert sets.cache_info() == (64 - len(built), len(built))

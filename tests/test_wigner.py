@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from gkpkit import wigner as wigner_module
 from gkpkit.errors import InvalidArgumentError
 from gkpkit.fock import displacement_matrix, ground_state
 from gkpkit.homodyne import rotated_wavefunction
@@ -143,6 +144,74 @@ def test_interference_peak_lattice():
     offsets = np.abs(strong / spacing - np.round(strong / spacing))
     assert strong.size >= 5
     assert offsets.max() < 0.2
+
+
+def _wavefunction_spy(monkeypatch):
+    """The shapes of the point arrays wigner hands to homodyne.wavefunction."""
+    shapes = []
+
+    def spy(state, points):
+        shapes.append(np.shape(points))
+        return evaluate(state, points)
+
+    evaluate = wigner_module.wavefunction
+    monkeypatch.setattr(wigner_module, "wavefunction", spy)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "size, xs, q",
+    [
+        # N = 30 reaches R = sqrt(61) + 6, so the y-step cap over
+        # |p| <= 6 is pi / (R + 6) = 0.159
+        (30, np.linspace(-7, 7, 141), 1),  # h = 0.1
+        (30, np.linspace(-7, 7, 11), 9),  # h = 1.4
+        (150, np.linspace(-18, 18, 271), 2),  # the benchmark's axis, h = 0.133
+    ],
+)
+def test_lattice_path_matches_general_path(monkeypatch, size, xs, q):
+    state = _random_state(size, seed=size)
+    ps = np.linspace(-6, 6, 25)
+    shapes = _wavefunction_spy(monkeypatch)
+    lattice = wigner(state, xs, ps).values
+    nudged = xs.copy()
+    nudged[xs.size // 2] += 1e-9 * (xs[1] - xs[0])
+    general = wigner(state, nudged, ps).values
+    same = np.arange(xs.size) != xs.size // 2
+    reach = math.sqrt(2 * size + 1) + 6
+    dy = (xs[1] - xs[0]) / q
+    last = math.ceil(reach / dy)
+    assert shapes == [((xs.size - 1) * q + 2 * last + 1,), (2, xs.size, shapes[1][2])]
+    np.testing.assert_allclose(lattice[same], general[same], rtol=0, atol=1e-13)
+
+
+def test_one_point_x_axis_takes_the_lattice_path(monkeypatch):
+    state = _random_state(30, seed=31)
+    xs = np.linspace(-7, 7, 141)
+    ps = np.linspace(-6, 6, 25)
+    nudged = xs.copy()
+    nudged[71] += 1e-10 * (xs[1] - xs[0])
+    general = wigner(state, nudged, ps).values
+    shapes = _wavefunction_spy(monkeypatch)
+    for i in (0, 70, 140):
+        row = wigner(state, xs[i : i + 1], ps).values
+        np.testing.assert_allclose(row, general[i : i + 1], rtol=0, atol=1e-13)
+    assert all(len(shape) == 1 for shape in shapes)
+
+
+def test_sparse_even_axis_keeps_the_general_path(monkeypatch):
+    # a lattice spanning [-100, 100] at dy <= 0.16 would hold ~1300 points,
+    # more than the 2 x 3 x len(ys) points it replaces
+    state = _random_state(12, seed=13)
+    xs = np.array([-100.0, 0.0, 100.0])
+    ps = np.linspace(-2, 2, 5)
+    shapes = _wavefunction_spy(monkeypatch)
+    grid = wigner(state, xs, ps)
+    assert len(shapes) == 1 and shapes[0][:2] == (2, 3)
+    np.testing.assert_allclose(
+        grid.values[1:2], _brute_force(state, xs[1:2], ps, padding=0), atol=1e-10
+    )
+    assert np.abs(grid.values[[0, 2]]).max() < 1e-12
 
 
 def test_rejects_bad_grid_and_state():
