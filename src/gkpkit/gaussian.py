@@ -59,11 +59,8 @@ def gaussian_expectation(g, u):
         u = check_unit(u)
     sxx, sxp, spp = covariance_from_params(g)
     # rows: the variances, then the means, of x, x - p and p
-    stacked = np.stack(np.broadcast_arrays(
-        sxx, sxx - 2 * sxp + spp, spp, g.x0, g.x0 - g.p0, g.p0
-    ))
-    damp = np.exp(-0.5 * math.pi * stacked[:3])
-    wave = np.cos(SQRT_PI * stacked[3:])
+    damp = np.exp(-0.5 * math.pi * np.array((sxx, sxx - 2 * sxp + spp, spp)))
+    wave = np.cos(SQRT_PI * np.array((g.x0, g.x0 - g.p0, g.p0)))
     double = (damp**2) ** 2 * (2 * wave**2 - 1)
     single = damp * wave
     return 2.0 - (
