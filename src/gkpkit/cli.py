@@ -258,9 +258,8 @@ def cmd_bound(args):
 def cmd_measure(args):
     u = parse_bloch(args.u)
     _, (state,), expectation, _ = sweep.ground_states(u[None], args.cutoff)
-    estimate = homodyne.estimate_witness(
-        state, u, count_per_quadrature=args.counts, seed=args.seed
-    )
+    samples = homodyne.measure_quadratures(state, args.counts, args.seed)
+    estimate = homodyne.estimate_witness(samples, u)
     exact = float(expectation[0, 0])
     out = _ensure_out(args.out)
     config = {

@@ -89,8 +89,8 @@ def rotated_wavefunction(state, angle, grid):
     """Wavefunction of the state in the x_angle quadrature representation."""
     state = np.asarray(state, dtype=complex)
     grid = np.asarray(grid, dtype=float)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise InvalidArgumentError("grid must be strictly increasing")
+    if grid.size < 2 or not np.isfinite(grid).all() or np.any(np.diff(grid) <= 0):
+        raise InvalidArgumentError("grid must be finite and strictly increasing")
     rotated = state * np.exp(-1j * angle * np.arange(state.size))
     psi = wavefunction(rotated, grid)
     mass = np.trapezoid(np.abs(psi) ** 2, grid)
@@ -119,37 +119,42 @@ def sample_quadrature(state, angle, count, seed):
     return QuadratureSamples(angle=angle, values=values, seed=seed)
 
 
-def estimate_witness(state_or_samples, u, count_per_quadrature=100_000, seed=0):
-    """Estimate <O_GKP(u)> from three sets of homodyne samples.
-
-    Accepts either a Fock state (sampled internally with seeds seed, seed+1,
-    seed+2 at angles 0, pi/2, -pi/4) or a sequence of three QuadratureSamples
-    at those angles.  The standard error combines per-sample-set variances of
-    the assembled integrand; the three sets are independent.
-    """
-    u = check_unit(u)
-    given = isinstance(state_or_samples, (list, tuple)) and isinstance(
-        state_or_samples[0], QuadratureSamples
-    )
-    if given:
-        by_angle = {round(s.angle, 12): s for s in state_or_samples}
-        try:
-            samples = [by_angle[round(a, 12)] for a in MEASUREMENT_ANGLES]
-        except KeyError as exc:
-            raise InvalidArgumentError(
-                f"samples must cover angles {MEASUREMENT_ANGLES}"
-            ) from exc
-    count = min(s.values.size for s in samples) if given else count_per_quadrature
+def _check_count(count):
     if count < 2:  # one sample has no sample variance
         raise InvalidArgumentError(
             f"each quadrature needs at least 2 samples, got {count}"
         )
-    if not given:
-        state = np.asarray(state_or_samples, dtype=complex)
-        samples = [
-            sample_quadrature(state, angle, count, seed + i)
-            for i, angle in enumerate(MEASUREMENT_ANGLES)
-        ]
+
+
+def measure_quadratures(state, count, seed):
+    """The three sample sets of the witness: count homodyne outcomes at each
+    of MEASUREMENT_ANGLES, the k-th drawn with seed + k."""
+    _check_count(count)
+    return [
+        sample_quadrature(state, angle, count, seed + k)
+        for k, angle in enumerate(MEASUREMENT_ANGLES)
+    ]
+
+
+def estimate_witness(samples, u):
+    """Estimate <O_GKP(u)> from three sets of homodyne samples.
+
+    samples holds one QuadratureSamples at each of the angles 0, pi/2 and
+    -pi/4 (`measure_quadratures` draws them from a Fock state).  The standard
+    error combines per-sample-set variances of the assembled integrand; the
+    three sets are independent.
+    """
+    u = check_unit(u)
+    by_angle = {round(s.angle, 12): s for s in samples}
+    try:
+        samples = [by_angle[round(a, 12)] for a in MEASUREMENT_ANGLES]
+    except KeyError as exc:
+        raise InvalidArgumentError(
+            f"samples must cover angles {MEASUREMENT_ANGLES}"
+        ) from exc
+    _check_count(min(s.values.size for s in samples))
+    if not all(np.isfinite(s.values).all() for s in samples):
+        raise InvalidArgumentError("samples must be finite")
 
     # (samples, single-frequency, Bloch coefficient); x - p = sqrt(2) x_(-pi/4)
     setup = [

@@ -98,7 +98,7 @@ def check_unit(u):
     if u.shape != (3,):
         raise InvalidArgumentError(f"Bloch vector must have 3 components, got {u.shape}")
     norm = np.linalg.norm(u)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise InvalidArgumentError(f"Bloch vector must be unit length, |u| = {norm}")
     return u
 

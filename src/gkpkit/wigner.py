@@ -44,36 +44,49 @@ def wigner(state, xs, ps):
     aliased copies W(x, p - k pi/dy), k != 0, and for every p on the axis
     these sit at momenta |p'| >= R, outside the state's support.
 
-    Lattice path: when the x-axis is evenly spaced to round-off with step h
-    (every `linspace`, a one-point axis included), dy = h/q with
-    q = ceil(h (R + max|p|)/pi), so every x_i +- y_l is a point
-    xs[0] + k dy of one 1-D lattice.  psi is evaluated once on that lattice
-    and gathered by index.  Other axes, and evenly spaced ones whose lattice
-    would hold more points than the 2 len(xs) len(ys) values it replaces,
-    take dy = pi / (R + max|p|) and evaluate psi at every x_i +- y_l.
+    Lattice: the x-axis must be evenly spaced to round-off with step h
+    (every `linspace`, a one-point axis included); any other x-axis raises
+    InvalidArgumentError.  dy = h/q with q = ceil(h (R + max|p|)/pi), so
+    every x_i +- y_l is a point xs[0] + k dy of one 1-D lattice.  psi is
+    evaluated once, at the lattice points within R of some x_i, and
+    gathered by index.
 
-    Cost: one N-step Hermite recurrence over the lattice, about
-    (xs[-1] - xs[0])/dy + 2R/dy points (1243 for N = 150 on the 271-point
-    axis [-18, 18]), or over 2 len(xs) len(ys) points off it; then two GEMMs
-    of size len(xs) x len(ys) x len(ps), where len(ys) ~ R/dy.
+    Cost: one N-step Hermite recurrence over at most the smaller of
+    (xs[-1] - xs[0])/dy + 2R/dy and len(xs) (2R/dy + 1) points (1243 for
+    N = 150 on the 271-point axis [-18, 18]); then two GEMMs of size
+    len(xs) x len(ys) x len(ps), where len(ys) ~ R/dy.
     Normalization is such that the integral of W is one and the vacuum peaks
     at exactly 1/pi.
     """
     state = np.asarray(state, dtype=complex)
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
-    if np.any(np.diff(xs) <= 0) or np.any(np.diff(ps) <= 0):
-        raise InvalidArgumentError("grid axes must be strictly increasing")
+    for axis in (xs, ps):
+        if axis.size == 0 or not np.isfinite(axis).all() or np.any(np.diff(axis) <= 0):
+            raise InvalidArgumentError(
+                "grid axes must be non-empty, finite and strictly increasing"
+            )
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise InvalidArgumentError(f"state must be normalized, |psi| = {norm}")
     reach = math.sqrt(2 * state.size + 1) + 6
-    max_dy = math.pi / (reach + np.abs(ps).max(initial=0.0))
-    dy, ys, psi_plus, psi_minus = _shifted_wavefunctions(state, xs, reach, max_dy)
-    weights = np.full(ys.size, 2 * dy / math.pi)
+    max_dy = math.pi / (reach + np.abs(ps).max())
+    h = _lattice_step(xs, max_dy)
+    q = math.ceil(h / max_dy)
+    dy = h / q
+    last = math.ceil(reach / dy)
+    # x_i +- y_l = xs[0] + (q i +- l) dy.  The windows q i + (-last..last)
+    # overlap into one run when q <= 2 last + 1, else lie end to end; entry j
+    # of their union is lattice index q (j // stride) + j % stride - last.
+    stride = min(q, 2 * last + 1)
+    window, rest = np.divmod(np.arange(stride * (xs.size - 1) + 2 * last + 1), stride)
+    on_lattice = wavefunction(state, xs[0] + dy * (q * window + rest - last))
+    centres = last + stride * np.arange(xs.size)[:, None]
+    offsets = np.arange(last + 1)
+    weights = np.full(offsets.size, 2 * dy / math.pi)
     weights[0] /= 2
-    f = psi_plus.conj() * psi_minus * weights
-    arg = 2 * np.multiply.outer(ys, ps)
+    f = on_lattice[centres + offsets].conj() * on_lattice[centres - offsets] * weights
+    arg = 2 * np.multiply.outer(dy * offsets, ps)
     w = f.real @ np.cos(arg) - f.imag @ np.sin(arg)
 
     grid = WignerGrid(xs=xs, ps=ps, values=w)
@@ -85,34 +98,14 @@ def wigner(state, xs, ps):
 
 def _lattice_step(xs, max_dy):
     """The step h of an x-axis with xs[i] = xs[0] + i h to round-off (every
-    linspace); max_dy for a one-point axis, which lies on any lattice; None
-    for other axes."""
-    if xs.size < 2:
-        return max_dy if xs.size else None
+    linspace), or max_dy for a one-point axis, which lies on any lattice."""
+    if xs.size == 1:
+        return max_dy
     h = (xs[-1] - xs[0]) / (xs.size - 1)
     off = np.abs(xs - (xs[0] + h * np.arange(xs.size))).max()
-    return h if off <= 4 * np.finfo(float).eps * np.abs(xs).max() else None
-
-
-def _shifted_wavefunctions(state, xs, reach, max_dy):
-    """The y-step dy, ys = dy * (0, 1, .., ceil(reach / dy)) and the
-    (len(xs), len(ys)) arrays psi(x_i + y_l) and psi(x_i - y_l)."""
-    h = _lattice_step(xs, max_dy)
-    if h is not None:
-        q = math.ceil(h / max_dy)
-        dy = h / q
-        last = math.ceil(reach / dy)
-        # x_i +- y_l = xs[0] + (q i +- l) dy is entry last + q i +- l
-        lattice = np.arange(-last, q * (xs.size - 1) + last + 1)
-        if lattice.size <= 2 * xs.size * (last + 1):
-            on_lattice = wavefunction(state, xs[0] + dy * lattice)
-            centres = last + q * np.arange(xs.size)[:, None]
-            offsets = np.arange(last + 1)
-            return (dy, dy * offsets,
-                    on_lattice[centres + offsets], on_lattice[centres - offsets])
-    ys = max_dy * np.arange(math.ceil(reach / max_dy) + 1)
-    psi = wavefunction(state, xs[:, None] + np.multiply.outer((1.0, -1.0), ys)[:, None])
-    return max_dy, ys, psi[0], psi[1]
+    if off > 4 * np.finfo(float).eps * np.abs(xs).max():
+        raise InvalidArgumentError("the x-axis must be evenly spaced")
+    return h
 
 
 def marginal_x(grid):

@@ -20,7 +20,11 @@ from gkpkit.bloch import Atlas, core_states, order_greedy, sample_sphere
 from gkpkit.cli import main
 from gkpkit.fock import exp_of_quadrature, expectation, ground_state
 from gkpkit.gaussian import gaussian_bound, minimize_over_gaussians
-from gkpkit.homodyne import estimate_witness, rotated_wavefunction
+from gkpkit.homodyne import (
+    estimate_witness,
+    measure_quadratures,
+    rotated_wavefunction,
+)
 from gkpkit.operators import analytic_complement, build_operator_set, gkp_operator
 from gkpkit.sweep import (
     diagonal_violations,
@@ -149,11 +153,11 @@ def test_criterion_08_witness_from_samples():
     vac_ref = 2 - (
         (2 * math.exp(-math.pi) + math.exp(-2 * math.pi)) / 3 + math.exp(-math.pi / 4)
     )
-    est_vac = estimate_witness(vac, u, count_per_quadrature=100_000, seed=0)
+    est_vac = estimate_witness(measure_quadratures(vac, 100_000, seed=0), u)
     op = gkp_operator(u, 150)
     _, psi = ground_state(op)
     exact = expectation(op, psi)
-    est_gs = estimate_witness(psi, u, count_per_quadrature=100_000, seed=0)
+    est_gs = estimate_witness(measure_quadratures(psi, 100_000, seed=0), u)
     dev_vac = abs(est_vac.value - vac_ref) / est_vac.std_error
     dev_gs = abs(est_gs.value - exact) / est_gs.std_error
     margin = (gaussian_bound(u) - est_gs.value) / est_gs.std_error

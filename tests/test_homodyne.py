@@ -10,6 +10,7 @@ from gkpkit.homodyne import (
     MEASUREMENT_ANGLES,
     default_grid,
     estimate_witness,
+    measure_quadratures,
     rotated_wavefunction,
     sample_quadrature,
     wavefunction,
@@ -117,7 +118,7 @@ def test_witness_vacuum_oracle():
     ref = 2 - (
         (2 * math.exp(-math.pi) + math.exp(-2 * math.pi)) / 3 + math.exp(-math.pi / 4)
     )
-    est = estimate_witness(VACUUM, (0, 0, 1), count_per_quadrature=100_000, seed=0)
+    est = estimate_witness(measure_quadratures(VACUUM, 100_000, seed=0), (0, 0, 1))
     assert abs(est.value - ref) <= 4 * est.std_error
     assert est.std_error > 0
     assert len(est.per_term) == 6
@@ -127,24 +128,46 @@ def test_witness_certifies_non_gaussianity():
     u = np.array([0, 0, 1.0])
     _, psi = ground_state(gkp_operator(u, 150))
     exact = expectation(gkp_operator(u, 150), psi)
-    est = estimate_witness(psi, u, count_per_quadrature=100_000, seed=0)
+    est = estimate_witness(measure_quadratures(psi, 100_000, seed=0), u)
     assert abs(est.value - exact) <= 4 * est.std_error
     assert est.value < gaussian_bound(u) - 4 * est.std_error
 
 
 def test_witness_rejects_non_unit():
     with pytest.raises(InvalidArgumentError):
-        estimate_witness(VACUUM, (1, 1, 0))
+        estimate_witness(measure_quadratures(VACUUM, 100, seed=0), (1, 1, 0))
 
 
-def test_witness_accepts_prebuilt_samples():
-    samples = [
-        sample_quadrature(VACUUM, angle, 20_000, seed=i)
-        for i, angle in enumerate(MEASUREMENT_ANGLES)
-    ]
-    direct = estimate_witness(samples, (0, 0, 1))
-    from_state = estimate_witness(VACUUM, (0, 0, 1), count_per_quadrature=20_000, seed=0)
-    assert direct.value == pytest.approx(from_state.value, abs=1e-12)
+def test_measure_quadratures_seeds_each_angle_in_turn():
+    samples = measure_quadratures(VACUUM, 50, seed=7)
+    assert [s.angle for s in samples] == list(MEASUREMENT_ANGLES)
+    assert [s.seed for s in samples] == [7, 8, 9]
+    for k, s in enumerate(samples):
+        alone = sample_quadrature(VACUUM, MEASUREMENT_ANGLES[k], 50, seed=7 + k)
+        np.testing.assert_array_equal(s.values, alone.values)
+
+
+def test_witness_rejects_non_finite_samples():
+    for bad in (np.nan, np.inf):
+        samples = measure_quadratures(VACUUM, 10, seed=0)
+        samples[1].values[3] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            estimate_witness(samples, (0, 0, 1))
+
+
+def test_witness_rejects_missing_angle():
+    samples = measure_quadratures(VACUUM, 10, seed=0)
+    samples[2] = sample_quadrature(VACUUM, 0.3, 10, seed=2)
+    with pytest.raises(InvalidArgumentError, match="cover angles"):
+        estimate_witness(samples, (0, 0, 1))
+
+
+def test_rotated_wavefunction_rejects_non_finite_grid():
+    for bad in (np.nan, np.inf):
+        grid = np.linspace(-6, 6, 101)
+        grid[50] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            rotated_wavefunction(VACUUM, 0.0, grid)
 
 
 def test_witness_rejects_single_sample_sets():
@@ -158,14 +181,15 @@ def test_witness_rejects_single_sample_sets():
         samples[k] = sample_quadrature(VACUUM, MEASUREMENT_ANGLES[k], 1, seed=k)
         with pytest.raises(InvalidArgumentError, match="at least 2 samples"):
             estimate_witness(samples, (0, 0, 1))
-    with pytest.raises(InvalidArgumentError, match="at least 2 samples"):
-        estimate_witness(VACUUM, (0, 0, 1), count_per_quadrature=1)
+    for count in (1, 0, -3):
+        with pytest.raises(InvalidArgumentError, match="at least 2 samples"):
+            measure_quadratures(VACUUM, count, seed=0)
 
 
 def test_error_scaling():
     errs = {
         count: estimate_witness(
-            VACUUM, (0, 0, 1), count_per_quadrature=count, seed=3
+            measure_quadratures(VACUUM, count, seed=3), (0, 0, 1)
         ).std_error
         for count in (1_000, 10_000, 100_000)
     }
@@ -178,7 +202,7 @@ def test_unbiasedness_over_repetitions():
         (2 * math.exp(-math.pi) + math.exp(-2 * math.pi)) / 3 + math.exp(-math.pi / 4)
     )
     estimates = [
-        estimate_witness(VACUUM, (0, 0, 1), count_per_quadrature=2_000, seed=s)
+        estimate_witness(measure_quadratures(VACUUM, 2_000, seed=s), (0, 0, 1))
         for s in range(100)
     ]
     values = np.array([e.value for e in estimates])

@@ -9,6 +9,7 @@ from gkpkit import operators
 from gkpkit.bloch import core_states
 from gkpkit.errors import InvalidArgumentError
 from gkpkit.fock import exp_of_quadrature, expectation, ground_state, hermitize
+from gkpkit.gaussian import gaussian_bound
 from gkpkit.operators import (
     analytic_complement,
     build_operator_set,
@@ -101,6 +102,15 @@ def test_gkp_operator_rejects_non_unit():
         gkp_operator((1, 1, 1), 50)
     with pytest.raises(InvalidArgumentError):
         gkp_operator((1, 0), 50)
+
+
+def test_check_unit_rejects_nan():
+    # abs(nan - 1) > tol is False, so the check must be written as a pass test
+    for u in ((np.nan, 0, 0), (1, 0, np.nan), (np.inf, 0, 0)):
+        with pytest.raises(InvalidArgumentError, match="unit length"):
+            operators.check_unit(u)
+        with pytest.raises(InvalidArgumentError):
+            gaussian_bound(u)
 
 
 def test_ground_energies_decrease_with_cutoff():

@@ -257,8 +257,13 @@ def test_ground_states_match_full_matrix_at_cutoff_300():
 
 @pytest.mark.parametrize(
     "points",
-    [[(0.0, 0.0, 3.0)], [(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)], (0.0, 0.0, 1.0)],
-    ids=["long", "one-bad-row", "1-D"],
+    [
+        [(0.0, 0.0, 3.0)],
+        [(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)],
+        (0.0, 0.0, 1.0),
+        [(np.nan, 0.0, 0.0)],
+    ],
+    ids=["long", "one-bad-row", "1-D", "nan"],
 )
 def test_ground_states_rejects_points_that_are_not_unit_rows(points):
     # O_GKP(u) is positive semidefinite only for unit u: u = (0, 0, 3)

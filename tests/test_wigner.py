@@ -36,17 +36,22 @@ def _random_state(size, seed):
     return state / np.linalg.norm(state)
 
 
+def _assert_matches_brute_force_at(grid, state, pairs):
+    for i, j in pairs:
+        ref = _brute_force(state, grid.xs[i : i + 1], grid.ps[j : j + 1], padding=0)
+        assert abs(grid.values[i, j] - ref[0, 0]) <= 1e-10, (grid.xs[i], grid.ps[j])
+
+
 def test_matches_brute_force_at_cutoff_150():
     # displacement_matrix gives exact elements of the infinite operator, so
-    # the unpadded brute force is exact for a state inside the cutoff
+    # the unpadded brute force is exact for a state inside the cutoff; only
+    # the x-axis need be evenly spaced, so the p-axis stays random
     _, psi = ground_state(gkp_operator((1 / math.sqrt(2), 1 / math.sqrt(2), 0), 150))
     rng = np.random.default_rng(150)
-    xs = np.sort(rng.uniform(-15, 15, 30))
+    xs = np.linspace(-15, 15, 30)
     ps = np.sort(rng.uniform(-15, 15, 30))
     grid = wigner(psi, xs, ps)
-    for i, j in zip(range(30), rng.permutation(30)):
-        ref = _brute_force(psi, xs[i : i + 1], ps[j : j + 1], padding=0)[0, 0]
-        assert abs(grid.values[i, j] - ref) <= 1e-10, (xs[i], ps[j])
+    _assert_matches_brute_force_at(grid, psi, zip(range(30), rng.permutation(30)))
 
 
 def test_matches_brute_force_random_state_both_parities():
@@ -170,48 +175,80 @@ def _wavefunction_spy(monkeypatch):
     ],
 )
 def test_lattice_path_matches_general_path(monkeypatch, size, xs, q):
+    # the general evaluation is the displaced-parity brute force
     state = _random_state(size, seed=size)
     ps = np.linspace(-6, 6, 25)
     shapes = _wavefunction_spy(monkeypatch)
-    lattice = wigner(state, xs, ps).values
-    nudged = xs.copy()
-    nudged[xs.size // 2] += 1e-9 * (xs[1] - xs[0])
-    general = wigner(state, nudged, ps).values
-    same = np.arange(xs.size) != xs.size // 2
+    grid = wigner(state, xs, ps)
     reach = math.sqrt(2 * size + 1) + 6
     dy = (xs[1] - xs[0]) / q
     last = math.ceil(reach / dy)
-    assert shapes == [((xs.size - 1) * q + 2 * last + 1,), (2, xs.size, shapes[1][2])]
-    np.testing.assert_allclose(lattice[same], general[same], rtol=0, atol=1e-13)
+    # overlapping windows: psi is evaluated on the whole lattice span, once
+    assert shapes == [((xs.size - 1) * q + 2 * last + 1,)]
+    rng = np.random.default_rng(size)
+    pairs = zip(rng.integers(xs.size, size=30), rng.integers(ps.size, size=30))
+    _assert_matches_brute_force_at(grid, state, pairs)
 
 
 def test_one_point_x_axis_takes_the_lattice_path(monkeypatch):
     state = _random_state(30, seed=31)
     xs = np.linspace(-7, 7, 141)
     ps = np.linspace(-6, 6, 25)
-    nudged = xs.copy()
-    nudged[71] += 1e-10 * (xs[1] - xs[0])
-    general = wigner(state, nudged, ps).values
     shapes = _wavefunction_spy(monkeypatch)
     for i in (0, 70, 140):
         row = wigner(state, xs[i : i + 1], ps).values
-        np.testing.assert_allclose(row, general[i : i + 1], rtol=0, atol=1e-13)
+        ref = _brute_force(state, xs[i : i + 1], ps, padding=0)
+        np.testing.assert_allclose(row, ref, rtol=0, atol=1e-10)
     assert all(len(shape) == 1 for shape in shapes)
 
 
-def test_sparse_even_axis_keeps_the_general_path(monkeypatch):
-    # a lattice spanning [-100, 100] at dy <= 0.16 would hold ~1300 points,
-    # more than the 2 x 3 x len(ys) points it replaces
+@pytest.mark.parametrize(
+    "xs",
+    [np.array([-100.0, 0.0, 100.0]), np.linspace(-60, 60, 5), np.array([3.0, 40.0])],
+)
+def test_sparse_even_axis_evaluates_only_the_windows(monkeypatch, xs):
+    # N = 12 reaches R = 11, so psi is needed only within 11 of each x_i:
+    # the windows do not overlap, and the lattice between them is skipped
     state = _random_state(12, seed=13)
-    xs = np.array([-100.0, 0.0, 100.0])
     ps = np.linspace(-2, 2, 5)
     shapes = _wavefunction_spy(monkeypatch)
     grid = wigner(state, xs, ps)
-    assert len(shapes) == 1 and shapes[0][:2] == (2, 3)
+    reach = 11.0
+    q = math.ceil((xs[1] - xs[0]) * (reach + 2) / math.pi)
+    last = math.ceil(reach * q / (xs[1] - xs[0]))
+    assert 2 * last + 1 < q
+    span = q * (xs.size - 1) + 2 * last + 1
+    assert len(shapes) == 1 and len(shapes[0]) == 1
+    assert shapes[0][0] <= min(span, 2 * xs.size * (last + 1))
     np.testing.assert_allclose(
-        grid.values[1:2], _brute_force(state, xs[1:2], ps, padding=0), atol=1e-10
+        grid.values, _brute_force(state, xs, ps, padding=0), rtol=0, atol=1e-10
     )
-    assert np.abs(grid.values[[0, 2]]).max() < 1e-12
+
+
+def test_rejects_uneven_x_axis():
+    state = _random_state(12, seed=14)
+    ps = np.linspace(-2, 2, 5)
+    nudged = np.linspace(-7, 7, 141)
+    nudged[71] += 1e-9 * (nudged[1] - nudged[0])
+    for xs in (np.array([-1.0, 0.0, 0.5]), nudged):
+        with pytest.raises(InvalidArgumentError, match="evenly spaced"):
+            wigner(state, xs, ps)
+
+
+def test_rejects_non_finite_or_empty_input():
+    vacuum = np.array([1.0 + 0j])
+    axis = np.linspace(-1, 1, 5)
+    for bad in (np.nan, np.inf):
+        broken = axis.copy()
+        broken[2] = bad
+        for xs, ps in ((broken, axis), (axis, broken), (broken[2:3], axis)):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                wigner(vacuum, xs, ps)
+    for xs, ps in ((axis[:0], axis), (axis, axis[:0])):
+        with pytest.raises(InvalidArgumentError, match="non-empty"):
+            wigner(vacuum, xs, ps)
+    with pytest.raises(InvalidArgumentError, match="normalized"):
+        wigner(np.array([np.nan, 0.0], dtype=complex), axis, axis)
 
 
 def test_rejects_bad_grid_and_state():
