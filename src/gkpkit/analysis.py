@@ -113,7 +113,7 @@ def regression_per_cutoff(record):
         raise InvalidArgumentError("need at least 3 state pairs for regression")
     stats = {}
     for cutoff in record.cutoffs:
-        y = record.expectation[cutoff].ravel()
+        y = record.results[cutoff].expectation.ravel()
         slope, intercept = np.polyfit(x, y, 1)
         r = np.corrcoef(x, y)[0, 1]
         mi = ksg_mutual_information(x, y)

@@ -125,7 +125,8 @@ def cmd_groundstate(args):
     axis = None if args.grid is None else parse_grid(args.grid)
     if axis is not None and not args.wigner:
         raise InvalidArgumentError("--grid needs --wigner")
-    (energy,), (state,), _, _ = sweep.ground_states(u[None], args.cutoff)
+    (state,), result = sweep.ground_states(u[None], args.cutoff)
+    (energy,) = result.ground_energies
     out = _ensure_out(args.out)
     config = {
         "command": "groundstate",
@@ -206,13 +207,13 @@ def cmd_analyze(args):
     dump_matrix("infidelity_normalized.csv", sweep.normalize_matrix(record.infidelity))
     diagnostics = {"diagonal_violations": {}, "identity_deviation": {}}
     for n in record.cutoffs:
-        dump_matrix(f"expectation_N{n}.csv", record.expectation[n])
+        expectation = record.results[n].expectation
+        dump_matrix(f"expectation_N{n}.csv", expectation)
         dump_matrix(
-            f"expectation_N{n}_normalized.csv",
-            sweep.normalize_matrix(record.expectation[n]),
+            f"expectation_N{n}_normalized.csv", sweep.normalize_matrix(expectation)
         )
         diagnostics["diagonal_violations"][str(n)] = sweep.diagonal_violations(
-            record.expectation[n]
+            expectation
         )
         diagnostics["identity_deviation"][str(n)] = (
             sweep.logical_subspace_identity_check(record, n)
@@ -257,10 +258,10 @@ def cmd_bound(args):
 
 def cmd_measure(args):
     u = parse_bloch(args.u)
-    _, (state,), expectation, _ = sweep.ground_states(u[None], args.cutoff)
+    (state,), result = sweep.ground_states(u[None], args.cutoff)
     samples = homodyne.measure_quadratures(state, args.counts, args.seed)
     estimate = homodyne.estimate_witness(samples, u)
-    exact = float(expectation[0, 0])
+    exact = float(result.expectation[0, 0])
     out = _ensure_out(args.out)
     config = {
         "command": "measure",

@@ -91,6 +91,8 @@ def rotated_wavefunction(state, angle, grid):
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or not np.isfinite(grid).all() or np.any(np.diff(grid) <= 0):
         raise InvalidArgumentError("grid must be finite and strictly increasing")
+    if not np.isfinite(state).all():  # NaN would pass the mass check below
+        raise InvalidArgumentError("state must be finite")
     rotated = state * np.exp(-1j * angle * np.arange(state.size))
     psi = wavefunction(rotated, grid)
     mass = np.trapezoid(np.abs(psi) ** 2, grid)

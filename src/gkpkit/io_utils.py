@@ -11,7 +11,7 @@ import numpy as np
 from . import __version__ as ARTIFACT_VERSION
 from .bloch import Atlas
 from .errors import InvalidArgumentError
-from .sweep import SweepRecord
+from .sweep import CutoffResult, SweepRecord
 
 SWEEP_SCHEMA_VERSION = 1
 
@@ -89,14 +89,7 @@ def write_json(path, payload, config):
 def write_sweep(path, record, config):
     """sweep.json for a SweepRecord: the atlas, the infidelity matrix and one
     block per cutoff, under the current schema version."""
-    per_cutoff = {
-        str(n): {
-            "expectation": record.expectation[n],
-            "ground_energies": record.ground_energies[n],
-            "parity_gap": record.parity_gap[n],
-        }
-        for n in record.cutoffs
-    }
+    per_cutoff = {str(n): record.results[n]._asdict() for n in record.cutoffs}
     atlas = record.atlas
     payload = {
         "schema_version": SWEEP_SCHEMA_VERSION,
@@ -156,7 +149,7 @@ def load_sweep(path):
         raise InvalidArgumentError(f"corrupt sweep file {path}: missing or bad {bad}")
     blocks = [(doc["atlas"], {"points", "labels", "delta", "seed"})]
     for block in doc["per_cutoff"].values():
-        blocks.append((block, {"expectation", "ground_energies", "parity_gap"}))
+        blocks.append((block, set(CutoffResult._fields)))
     for block, wanted in blocks:
         if not isinstance(block, dict) or not wanted <= block.keys():
             raise InvalidArgumentError(
@@ -179,13 +172,13 @@ def load_sweep(path):
         )
         for n in cutoffs:
             block = doc["per_cutoff"][str(n)]
-            record.expectation[n] = _float_array(
-                block["expectation"], f"expectation at N = {n}", m, m
+            record.results[n] = CutoffResult(
+                _float_array(block["expectation"], f"expectation at N = {n}", m, m),
+                _float_array(
+                    block["ground_energies"], f"ground energies at N = {n}", m
+                ),
+                float(block["parity_gap"]),
             )
-            record.ground_energies[n] = _float_array(
-                block["ground_energies"], f"ground energies at N = {n}", m
-            )
-            record.parity_gap[n] = float(block["parity_gap"])
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"corrupt sweep file {path}: {exc}") from exc
     return record

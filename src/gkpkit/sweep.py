@@ -3,6 +3,7 @@
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import eigh, eigvalsh
@@ -12,18 +13,26 @@ from .errors import InvalidArgumentError, NumericalFailureError
 from .operators import build_operator_set, check_unit
 
 
+class CutoffResult(NamedTuple):
+    """What a sweep keeps per cutoff N; the field names are the keys of a
+    sweep.json per-cutoff block."""
+
+    # (M, M): E[i, j] = <psi_i^(N)| O_GKP^[N](u_j) |psi_i^(N)>
+    expectation: np.ndarray
+    ground_energies: np.ndarray  # (M,)
+    # min over states of E_odd - E_even, the spectral gap between the lowest
+    # odd-parity level and the (even-parity) ground state
+    parity_gap: float
+
+
 @dataclass
 class SweepRecord:
-    """Expectation matrices E[N][i, j] = <psi_i^(N)| O_GKP^[N](u_j) |psi_i^(N)>."""
+    """The atlas, its infidelity matrix and one CutoffResult per cutoff."""
 
     atlas: Atlas
     cutoffs: list
-    expectation: dict = field(default_factory=dict)  # N -> (M, M) array
     infidelity: np.ndarray = None
-    ground_energies: dict = field(default_factory=dict)  # N -> (M,) array
-    # N -> min over states of E_odd - E_even, the spectral gap between the
-    # lowest odd-parity level and the (even-parity) ground state
-    parity_gap: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)  # N -> CutoffResult
 
 
 # rows per stacked eigensolve: bounds the (rows, n, n) stacks and eigh's
@@ -44,9 +53,10 @@ def ground_states(points, cutoff):
     contraction of the ground states with the four components gives every
     expectation.
 
-    Returns (energies, states, expectation, parity_gap): N-level states with
-    zero odd amplitudes and the largest amplitude real and positive,
-    expectation[i, j] = <psi_i|O_GKP(u_j)|psi_i>, and min E_odd - E_even.
+    Returns (states, CutoffResult): N-level states with zero odd amplitudes
+    and the largest amplitude real and positive, and the result with
+    expectation[i, j] = <psi_i|O_GKP(u_j)|psi_i>, the ground energies and
+    min E_odd - E_even.
     """
     points = np.asarray(points, dtype=float)
     for u in np.atleast_1d(points):  # O_GKP(u) is positive semidefinite for unit u
@@ -85,7 +95,7 @@ def ground_states(points, cutoff):
     peak = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
     states = np.zeros((len(vecs), cutoff), dtype=complex)
     states[:, 0::2] = vecs * (peak.conj() / np.abs(peak))[:, None]
-    return energies, states, expectation, float(gaps.min())
+    return states, CutoffResult(expectation, energies, float(gaps.min()))
 
 
 def usable_cores():
@@ -110,27 +120,16 @@ def run_sweep(atlas, cutoffs, done=None):
     if sorted(set(cutoffs)) != cutoffs:
         raise InvalidArgumentError("cutoffs must be distinct and ascending")
     points = np.asarray(atlas.points, dtype=float)
-    record = SweepRecord(
-        atlas=atlas,
-        cutoffs=cutoffs,
-        infidelity=infidelity_matrix(points),
-    )
-    todo = []
-    for cutoff in cutoffs:
-        if done is not None and cutoff in done.expectation:
-            record.expectation[cutoff] = done.expectation[cutoff]
-            record.ground_energies[cutoff] = done.ground_energies[cutoff]
-            record.parity_gap[cutoff] = done.parity_gap[cutoff]
-        else:
-            todo.append(cutoff)
+    record = SweepRecord(atlas, cutoffs, infidelity_matrix(points))
+    held = {} if done is None else done.results
     pool = ThreadPoolExecutor(max_workers=usable_cores())
     try:
-        solves = {n: pool.submit(ground_states, points, n) for n in reversed(todo)}
-        for cutoff in todo:
-            energies, _, expectation, gap = solves[cutoff].result()
-            record.expectation[cutoff] = expectation
-            record.ground_energies[cutoff] = energies
-            record.parity_gap[cutoff] = gap
+        solves = {
+            n: pool.submit(ground_states, points, n)
+            for n in reversed(cutoffs) if n not in held
+        }
+        for n in cutoffs:
+            record.results[n] = held[n] if n in held else solves[n].result()[1]
     finally:
         pool.shutdown(cancel_futures=True)
     return record
@@ -147,11 +146,10 @@ def normalize_matrix(matrix):
 
 def logical_subspace_identity_check(record, cutoff):
     """Max |E[N][i,j] - 2 * (1 - F_ij)| over all state/operator pairs."""
-    if cutoff not in record.expectation:
+    if cutoff not in record.results:
         raise InvalidArgumentError(f"cutoff {cutoff} not present in record")
-    return float(
-        np.max(np.abs(record.expectation[cutoff] - 2.0 * record.infidelity))
-    )
+    expectation = record.results[cutoff].expectation
+    return float(np.max(np.abs(expectation - 2.0 * record.infidelity)))
 
 
 def diagonal_violations(matrix):

@@ -19,7 +19,8 @@ class WignerGrid:
     values: np.ndarray  # shape (len(xs), len(ps)), values[i, j] = W(xs[i], ps[j])
 
     def mass(self):
-        """Trapezoid integral of W over the grid."""
+        """Trapezoid sum of W over the grid. For a normalized state it differs
+        from 1 only when the grid is too narrow or too coarse."""
         return float(
             np.trapezoid(np.trapezoid(self.values, self.ps, axis=1), self.xs)
         )
@@ -92,7 +93,10 @@ def wigner(state, xs, ps):
     grid = WignerGrid(xs=xs, ps=ps, values=w)
     mass = grid.mass()
     if abs(mass - 1.0) > 1e-4:
-        log.warning("Wigner grid captures mass %.6f (deficit %.2e)", mass, 1 - mass)
+        log.warning(
+            "Wigner grid sum %.6f differs from 1 by %.2e: "
+            "the grid is too narrow or too coarse", mass, mass - 1
+        )
     return grid
 
 

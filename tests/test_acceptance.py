@@ -100,7 +100,7 @@ def test_criterion_03_ground_state_convergence():
 
 def test_criterion_04_diagonal_minima(core_record):
     violations = {
-        n: diagonal_violations(core_record.expectation[n]) for n in (50, 100)
+        n: diagonal_violations(core_record.results[n].expectation) for n in (50, 100)
     }
     ok = all(v == 0 for v in violations.values())
     ok = ok and len(core_record.atlas) == 26
@@ -224,13 +224,17 @@ def test_criterion_11_determinism(tmp_path, core_record, desk_record, capsys):
     )
     again4 = run_sweep(atlas, [50, 100, 150])
     same4 = all(
-        np.array_equal(core_record.expectation[n], again4.expectation[n])
+        np.array_equal(
+            core_record.results[n].expectation, again4.results[n].expectation
+        )
         for n in (50, 100, 150)
     )
     # criterion 5 inputs: desk-scale sweep recomputed from scratch
     again5 = run_sweep(order_greedy(sample_sphere(0.35, seed=0)), desk_record.cutoffs)
     same5 = all(
-        np.array_equal(desk_record.expectation[n], again5.expectation[n])
+        np.array_equal(
+            desk_record.results[n].expectation, again5.results[n].expectation
+        )
         for n in desk_record.cutoffs
     )
     # criterion 8 via the CLI: measure twice, compare files modulo timestamps

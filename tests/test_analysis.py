@@ -9,7 +9,7 @@ from gkpkit.analysis import (
 )
 from gkpkit.bloch import Atlas
 from gkpkit.errors import InvalidArgumentError
-from gkpkit.sweep import SweepRecord
+from gkpkit.sweep import CutoffResult, SweepRecord
 
 
 def _synthetic_record(slope, intercept=0.0, seed=0):
@@ -20,7 +20,7 @@ def _synthetic_record(slope, intercept=0.0, seed=0):
         cutoffs=[10],
         infidelity=infid,
     )
-    record.expectation[10] = slope * infid + intercept
+    record.results[10] = CutoffResult(slope * infid + intercept, None, None)
     return record
 
 
@@ -37,7 +37,7 @@ def test_regression_rejects_tiny_input():
         cutoffs=[10],
         infidelity=np.array([[0.0]]),
     )
-    record.expectation[10] = np.array([[0.0]])
+    record.results[10] = CutoffResult(np.array([[0.0]]), None, None)
     with pytest.raises(InvalidArgumentError):
         regression_per_cutoff(record)
 

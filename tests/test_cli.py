@@ -143,7 +143,8 @@ def test_sweep_analyze_roundtrip(tmp_path):
     assert sorted(int(k) for k in doc["per_cutoff"]) == [10, 20, 30]
     gaps = {int(k): block["parity_gap"] for k, block in doc["per_cutoff"].items()}
     assert all(gap > 0 for gap in gaps.values())
-    assert load_sweep(str(sw / "sweep.json")).parity_gap == gaps
+    record = load_sweep(str(sw / "sweep.json"))
+    assert {n: r.parity_gap for n, r in record.results.items()} == gaps
     code = main(["analyze", "--sweep", str(sw / "sweep.json"), "--out", str(an)])
     assert code == 0
     _, header, rows = read_csv(an / "regression.csv")

@@ -170,6 +170,17 @@ def test_rotated_wavefunction_rejects_non_finite_grid():
             rotated_wavefunction(VACUUM, 0.0, grid)
 
 
+def test_non_finite_state_is_rejected_before_sampling():
+    # a NaN or infinite amplitude gives a NaN mass, which passed the mass check
+    # and came back as NaN samples
+    for bad in (np.nan, np.inf):
+        state = np.array([bad, 0.0, 0.0])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            rotated_wavefunction(state, 0.0, np.linspace(-6, 6, 101))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            sample_quadrature(state, 0.0, 5, 0)
+
+
 def test_witness_rejects_single_sample_sets():
     # one sample has no sample variance, so the standard error would be NaN
     big = [

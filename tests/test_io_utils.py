@@ -17,7 +17,7 @@ from gkpkit.io_utils import (
     write_json,
     write_sweep,
 )
-from gkpkit.sweep import SweepRecord
+from gkpkit.sweep import CutoffResult, SweepRecord
 
 
 def test_metadata_block_contents():
@@ -70,9 +70,7 @@ def test_sweep_write_holds_one_matrix_as_lists(tmp_path):
     cutoffs = list(range(5, 121, 5))
     record = SweepRecord(atlas, cutoffs, infidelity=rng.random((54, 54)))
     for n in cutoffs:
-        record.expectation[n] = rng.random((54, 54))
-        record.ground_energies[n] = rng.random(54)
-        record.parity_gap[n] = 1.0
+        record.results[n] = CutoffResult(rng.random((54, 54)), rng.random(54), 1.0)
     tracemalloc.start()
     try:
         write_sweep(tmp_path / "sweep.json", record, {"seed": 0})
@@ -143,23 +141,31 @@ def test_sweep_roundtrip_is_bit_exact(tmp_path):
     special = [-0.0, 5e-324, 1e308, 0.1]
     atlas = Atlas(rng.standard_normal((4, 3)), ["0L", "", "", "T+++"], 0.5, 3)
     record = SweepRecord(atlas, [10, 20], infidelity=rng.random((4, 4)))
+    gaps = {10: 5e-324, 20: 0.0625}
     for n in (10, 20):
-        record.expectation[n] = np.vstack((special, rng.standard_normal((3, 4))))
-        record.ground_energies[n] = rng.standard_normal(4) * 1e-12
-    record.parity_gap.update({10: 5e-324, 20: 0.0625})
+        record.results[n] = CutoffResult(
+            np.vstack((special, rng.standard_normal((3, 4)))),
+            rng.standard_normal(4) * 1e-12,
+            gaps[n],
+        )
     path, again = tmp_path / "sweep.json", tmp_path / "again.json"
     write_sweep(path, record, {"seed": 3})
     back = load_sweep(path)
     arrays = [(back.atlas.points, atlas.points), (back.infidelity, record.infidelity)]
     for n in (10, 20):
-        arrays.append((back.expectation[n], record.expectation[n]))
-        arrays.append((back.ground_energies[n], record.ground_energies[n]))
+        got, want = back.results[n], record.results[n]
+        arrays.append((got.expectation, want.expectation))
+        arrays.append((got.ground_energies, want.ground_energies))
     for got, want in arrays:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert (back.atlas.labels, back.atlas.delta, back.atlas.seed) == (
         atlas.labels, 0.5, 3)
     assert back.cutoffs == [10, 20]
-    assert back.parity_gap == {10: 5e-324, 20: 0.0625}
+    assert {n: r.parity_gap for n, r in back.results.items()} == {
+        10: 5e-324, 20: 0.0625}
+    # a per-cutoff block holds exactly the fields of CutoffResult
+    for block in json.loads(path.read_text())["per_cutoff"].values():
+        assert set(block) == set(CutoffResult._fields)
     write_sweep(again, back, {"seed": 3})
 
     def stripped(path):

@@ -45,9 +45,9 @@ def stabilizer_record():
 
 
 def test_diagonal_is_ground_energy_and_row_minimum(stabilizer_record):
-    exp = stabilizer_record.expectation[50]
+    exp = stabilizer_record.results[50].expectation
     np.testing.assert_allclose(
-        np.diag(exp), stabilizer_record.ground_energies[50], atol=1e-12
+        np.diag(exp), stabilizer_record.results[50].ground_energies, atol=1e-12
     )
     assert np.all(np.argmin(exp, axis=1) == np.arange(6))
 
@@ -65,8 +65,8 @@ def test_stabilizer_infidelity_pattern(stabilizer_record):
 def test_diagonal_decreases_with_cutoff():
     atlas = Atlas(points=STABILIZER_POINTS, labels=[""] * 6)
     record = run_sweep(atlas, [50, 150])
-    diag_small = np.diag(record.expectation[50])
-    diag_large = np.diag(record.expectation[150])
+    diag_small = np.diag(record.results[50].expectation)
+    diag_large = np.diag(record.results[150].expectation)
     assert np.all(diag_large <= diag_small)
 
 
@@ -82,7 +82,7 @@ def test_sweep_determinism(stabilizer_record):
     atlas = Atlas(points=STABILIZER_POINTS, labels=[""] * 6)
     again = run_sweep(atlas, [50])
     np.testing.assert_array_equal(
-        stabilizer_record.expectation[50], again.expectation[50]
+        stabilizer_record.results[50].expectation, again.results[50].expectation
     )
 
 
@@ -100,7 +100,7 @@ def test_normalize_matrix_rejects_constant():
 
 
 def test_normalized_matrices_share_argmin_structure(stabilizer_record):
-    exp = normalize_matrix(stabilizer_record.expectation[50])
+    exp = normalize_matrix(stabilizer_record.results[50].expectation)
     inf = normalize_matrix(stabilizer_record.infidelity)
     np.testing.assert_array_equal(
         np.argmin(exp, axis=1), np.argmin(inf, axis=1)
@@ -108,10 +108,10 @@ def test_normalized_matrices_share_argmin_structure(stabilizer_record):
 
 
 def test_identity_check_diagonal_equals_energy(stabilizer_record):
-    exp = stabilizer_record.expectation[50]
+    exp = stabilizer_record.results[50].expectation
     dev = logical_subspace_identity_check(stabilizer_record, 50)
     # diagonal deviation is the ground energy itself (2(1-F_ii) = 0)
-    assert dev >= stabilizer_record.ground_energies[50].max()
+    assert dev >= stabilizer_record.results[50].ground_energies.max()
 
 
 def test_identity_check_improves_with_cutoff():
@@ -166,20 +166,19 @@ def test_parity_sweep_matches_full_matrix_oracle(cutoff):
     points = _oracle_points()
     record = run_sweep(Atlas(points=points, labels=[""] * len(points)), [cutoff])
     ops = [gkp_operator(u, cutoff) for u in points]
+    result = record.results[cutoff]
     gaps = []
     for i, op in enumerate(ops):
         energy, psi = ground_state(op)
-        assert abs(record.ground_energies[cutoff][i] - energy) <= 1e-12
+        assert abs(result.ground_energies[i] - energy) <= 1e-12
         row = [expectation(op_j, psi) for op_j in ops]
-        np.testing.assert_allclose(
-            record.expectation[cutoff][i], row, rtol=0, atol=1e-12
-        )
+        np.testing.assert_allclose(result.expectation[i], row, rtol=0, atol=1e-12)
         evals, evecs = np.linalg.eigh(op)
         odd_weight = np.sum(np.abs(evecs[1::2]) ** 2, axis=0)
         assert odd_weight[0] < 1e-12  # the ground state is even
         gaps.append(evals[odd_weight > 0.5][0] - energy)
-    assert record.parity_gap[cutoff] > 0
-    assert abs(record.parity_gap[cutoff] - min(gaps)) <= 1e-12
+    assert result.parity_gap > 0
+    assert abs(result.parity_gap - min(gaps)) <= 1e-12
 
 
 def _odd_ground_operator_set(cutoff):
@@ -221,16 +220,16 @@ def test_ground_states_rows_do_not_depend_on_the_batch(monkeypatch, cutoff):
     # `groundstate --u X` must report the energy the sweep records for X
     points = order_greedy(sample_sphere(0.35, 0)).points
     assert len(points) % sweep.CHUNK_ROWS  # the desk atlas ends in a short chunk
-    result = sweep.ground_states(points, cutoff)
-    energies, states, _, _ = result
+    states, result = sweep.ground_states(points, cutoff)
     for i in range(len(points)):
-        energy, state, _, _ = sweep.ground_states(points[i : i + 1], cutoff)
-        assert energy[0] == energies[i]
+        state, row = sweep.ground_states(points[i : i + 1], cutoff)
+        assert row.ground_energies[0] == result.ground_energies[i]
         np.testing.assert_array_equal(state[0], states[i])
     # solving the whole atlas in one stack changes no bit of any output
     monkeypatch.setattr(sweep, "CHUNK_ROWS", len(points))
-    for chunked, whole in zip(result, sweep.ground_states(points, cutoff)):
-        np.testing.assert_array_equal(chunked, whole)
+    whole_states, whole = sweep.ground_states(points, cutoff)
+    for chunked, unchunked in zip((states, *result), (whole_states, *whole)):
+        np.testing.assert_array_equal(chunked, unchunked)
 
 
 def test_core_states_at_large_cutoff():
@@ -239,19 +238,19 @@ def test_core_states_at_large_cutoff():
     infidelity = infidelity_matrix(points)
     deviations = []
     for cutoff in (200, 300):
-        _, _, expectation, gap = sweep.ground_states(points, cutoff)
-        deviations.append(np.max(np.abs(expectation - 2 * infidelity)))
-        assert gap > 0
+        _, result = sweep.ground_states(points, cutoff)
+        deviations.append(np.max(np.abs(result.expectation - 2 * infidelity)))
+        assert result.parity_gap > 0
     assert deviations[1] < deviations[0]
 
 
 def test_ground_states_match_full_matrix_at_cutoff_300():
     points = np.array([vec for _, vec in core_states()])[[0, 4, 9, 17]]
-    energies, states, expectation, _ = sweep.ground_states(points, 300)
+    states, result = sweep.ground_states(points, 300)
     for i, u in enumerate(points):
         evals, evecs = np.linalg.eigh(gkp_operator(u, 300))
-        assert abs(energies[i] - evals[0]) <= 1e-12
-        assert abs(expectation[i, i] - evals[0]) <= 1e-12
+        assert abs(result.ground_energies[i] - evals[0]) <= 1e-12
+        assert abs(result.expectation[i, i] - evals[0]) <= 1e-12
         assert abs(abs(np.vdot(evecs[:, 0], states[i])) - 1) <= 1e-12
 
 
@@ -289,10 +288,11 @@ def test_sweep_file_does_not_depend_on_the_pool_size(monkeypatch, tmp_path):
     record = load_sweep(tmp_path / "pool2" / "sweep.json")
     points = record.atlas.points
     for cutoff in POOL_CUTOFFS:
-        energies, _, expectation, gap = sweep.ground_states(points, cutoff)
-        np.testing.assert_array_equal(record.expectation[cutoff], expectation)
-        np.testing.assert_array_equal(record.ground_energies[cutoff], energies)
-        assert record.parity_gap[cutoff] == gap
+        _, result = sweep.ground_states(points, cutoff)
+        stored = record.results[cutoff]
+        np.testing.assert_array_equal(stored.expectation, result.expectation)
+        np.testing.assert_array_equal(stored.ground_energies, result.ground_energies)
+        assert stored.parity_gap == result.parity_gap
 
 
 def test_run_sweep_on_more_threads_than_cores_matches_one_thread(monkeypatch):
@@ -308,10 +308,12 @@ def test_run_sweep_on_more_threads_than_cores_matches_one_thread(monkeypatch):
     try:
         for _ in range(3):
             pooled = run_sweep(atlas, cutoffs)
-            assert sorted(pooled.expectation) == cutoffs
+            assert sorted(pooled.results) == cutoffs
             for n in cutoffs:
-                np.testing.assert_array_equal(pooled.expectation[n], serial.expectation[n])
-                assert pooled.parity_gap[n] == serial.parity_gap[n]
+                np.testing.assert_array_equal(
+                    pooled.results[n].expectation, serial.results[n].expectation
+                )
+                assert pooled.results[n].parity_gap == serial.results[n].parity_gap
     finally:
         sys.setswitchinterval(interval)
 
@@ -328,8 +330,12 @@ def test_run_sweep_submits_the_largest_cutoff_first(monkeypatch):
     monkeypatch.setattr(sweep, "usable_cores", lambda: 1)
     atlas = Atlas(points=STABILIZER_POINTS, labels=[""] * 6)
     done = run_sweep(atlas, [10, 20])
-    run_sweep(atlas, [10, 15, 20, 25], done=done)
+    extended = run_sweep(atlas, [10, 15, 20, 25], done=done)
+    # the held cutoffs are reused as they are; only the missing ones are solved
     assert solved == [20, 10, 25, 15]
+    assert sorted(extended.results) == [10, 15, 20, 25]
+    for n in (10, 20):
+        assert extended.results[n] is done.results[n]
 
 
 def test_run_sweep_solves_as_many_cutoffs_at_once_as_there_are_cores(monkeypatch):
@@ -344,7 +350,7 @@ def test_run_sweep_solves_as_many_cutoffs_at_once_as_there_are_cores(monkeypatch
     monkeypatch.setattr(sweep, "ground_states", meet)
     monkeypatch.setattr(sweep, "usable_cores", lambda: 2)
     atlas = Atlas(points=STABILIZER_POINTS, labels=[""] * 6)
-    assert sorted(run_sweep(atlas, [10, 20]).expectation) == [10, 20]
+    assert sorted(run_sweep(atlas, [10, 20]).results) == [10, 20]
 
 
 def _fail_at(failing):

@@ -1,3 +1,4 @@
+import logging
 import math
 import sys
 
@@ -257,6 +258,19 @@ def test_rejects_bad_grid_and_state():
         wigner(np.array([1.0 + 0j]), xs[::-1], xs)
     with pytest.raises(InvalidArgumentError):
         wigner(np.array([1.0, 1.0], dtype=complex), xs, xs)
+
+
+def test_coarse_grid_warning_blames_the_grid_not_lost_mass(caplog):
+    # the vacuum lies well inside x in [-30, 30]; its trapezoid sum over these
+    # five-point axes is 8.375 only because the steps are far too wide
+    vacuum = np.zeros(12, dtype=complex)
+    vacuum[0] = 1.0
+    with caplog.at_level(logging.WARNING, logger="gkpkit.wigner"):
+        grid = wigner(vacuum, np.linspace(-30, 30, 5), np.linspace(-2, 2, 5))
+    assert grid.mass() == pytest.approx(8.375089, abs=1e-6)
+    [message] = [r.getMessage() for r in caplog.records if r.name == "gkpkit.wigner"]
+    assert "too narrow or too coarse" in message
+    assert "captures" not in message and "deficit" not in message
 
 
 def test_package_attribute_is_the_wigner_submodule():
