@@ -9,7 +9,21 @@ import math
 import os
 import sys
 
-import numpy as np
+# numpy's bundled OpenBLAS reads its thread count once, as it loads. Every
+# command runs on one BLAS thread (_one_blas_thread), so a CLI process loads
+# it with one: a second thread would only spin idle, ~0.1 s of CPU per
+# process. The inherited value is put back at once, so nothing leaks into
+# the environment; where numpy was loaded earlier this changes nothing.
+_inherited = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _inherited is None:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = _inherited
+    del _inherited
 
 from . import analysis, bloch, gaussian, homodyne, io_utils, sweep
 from .errors import InvalidArgumentError, NumericalFailureError
@@ -43,9 +57,13 @@ def parse_bloch(text):
         vec = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot parse Bloch vector {text!r}") from exc
-    norm = np.linalg.norm(vec)
-    if not 0 < norm < math.inf:  # NaN fails both comparisons
+    if not np.isfinite(vec).all() or not vec.any():
         raise InvalidArgumentError(f"Bloch vector must be finite and nonzero: {text!r}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if not 0 < norm < math.inf:  # the sum of squares under- or overflowed
+        vec = vec / np.abs(vec).max()
+        norm = np.linalg.norm(vec)
     return vec / norm
 
 

@@ -39,6 +39,11 @@ def test_parse_bloch_aliases():
     for text in ("0,0,0", "nan,0,1", "inf,0,0"):
         with pytest.raises(InvalidArgumentError):
             parse_bloch(text)
+    # finite nonzero triples whose plain norm under- or overflows
+    diagonal = (1 / math.sqrt(2), 1 / math.sqrt(2), 0)
+    np.testing.assert_allclose(parse_bloch("1e-200,1e-200,0"), diagonal)
+    np.testing.assert_allclose(parse_bloch("1e200,1e200,0"), diagonal)
+    assert np.array_equal(parse_bloch("1e-320,0,0"), (1, 0, 0))
     cores = dict(core_states())
     aliases = {"0": "0L", "1": "1L", "+": "+L", "-": "-L", "i": "iL", "-i": "-iL",
                "H": "H+x+y", "T": "T+++"}
@@ -391,6 +396,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 
+def _bundled_openblas():
+    """Path of numpy's bundled OpenBLAS; skips the test where there is none."""
+    libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*")
+    if not libs:
+        pytest.skip("numpy ships no bundled OpenBLAS")
+    return libs[0]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -401,13 +414,27 @@ SRC = os.path.join(ROOT, "src")
 )
 def test_results_independent_of_blas_threads(tmp_path, args):
     # one and two OpenBLAS threads give different last bits in eigh and
-    # in the Wigner products unless the CLI runs on one thread
+    # in the Wigner products unless main runs on one thread. A CLI process
+    # loads OpenBLAS with one thread whatever OPENBLAS_NUM_THREADS says, so
+    # each run loads numpy first, at the count asked for, as a library
+    # caller does, and then calls main
+    lib = _bundled_openblas()
+    if sweep.usable_cores() < 2:
+        pytest.skip("OpenBLAS caps its thread count at the usable cores")
+    code = (
+        "import ctypes, sys\n"
+        "import numpy\n"
+        f"get = ctypes.CDLL({lib!r}).scipy_openblas_get_num_threads64_\n"
+        "assert get() == int(sys.argv[1]), get()\n"
+        "from gkpkit.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
     files = {}
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=SRC)
         subprocess.run(
-            [sys.executable, "-m", "gkpkit.cli", *args, "--out", str(out)],
+            [sys.executable, "-c", code, str(threads), *args, "--out", str(out)],
             cwd=tmp_path, env=env, check=True, capture_output=True,
         )
         files[threads] = {
@@ -416,6 +443,33 @@ def test_results_independent_of_blas_threads(tmp_path, args):
     assert files[1].keys() == files[2].keys() and files[1]
     for name in files[1]:
         assert files[1][name] == files[2][name], name
+
+
+@pytest.mark.parametrize("inherited", [None, "4"], ids=["unset", "4"])
+def test_cli_import_loads_openblas_with_one_thread(inherited):
+    # a second BLAS thread would only spin idle, ~0.1 s of CPU per process
+    lib = _bundled_openblas()
+    code = (
+        "import ctypes, json, os\n"
+        "before = dict(os.environ)\n"
+        "import gkpkit.cli\n"
+        f"get = ctypes.CDLL({lib!r}).scipy_openblas_get_num_threads64_\n"
+        "tasks = '/proc/self/task'\n"
+        "tasks = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+        "print(json.dumps([get(), tasks, dict(os.environ) == before]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if inherited is not None:
+        env["OPENBLAS_NUM_THREADS"] = inherited
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    threads, tasks, environ_kept = json.loads(done.stdout)
+    assert threads == 1
+    assert tasks in (None, 1)
+    assert environ_kept
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():
@@ -473,10 +527,7 @@ def test_analyze_loads_no_scipy(tmp_path):
 
 
 def test_main_pins_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
-    libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*")
-    if not libs:
-        pytest.skip("numpy ships no bundled OpenBLAS")
-    lib = ctypes.CDLL(libs[0])
+    lib = ctypes.CDLL(_bundled_openblas())
     get = lib.scipy_openblas_get_num_threads64_
     put = lib.scipy_openblas_set_num_threads64_
     inside = []
