@@ -28,30 +28,43 @@ class ExtrapolationResult:
     failed_windows: list  # {"start": N, "reason": text} per window not fitted
 
 
+KSG_BLOCK = 256  # points per neighbour scan; bounds its memory whatever M is
+
+
 def _kth_neighbour_distance(xs, ys, k):
     """Exact max-norm distance from each point to its k-th nearest other point.
 
-    With the points sorted by x, each round merges the index offsets +-r ...
-    +-(r + 15) into every unfinished point's k best. A point is done once its
-    k-th best is <= |dx| at the next offset on both sides, as |dx| only grows
-    further out; indices past either end read x = +-inf."""
+    The points are sorted along the coordinate with the larger range, called
+    x here, and scanned KSG_BLOCK at a time. Each round merges the next w
+    index offsets on both sides into every unfinished point's k best, with
+    w = 16 KSG_BLOCK // (unfinished points in the block): a round holds at
+    most 32 KSG_BLOCK distances, and a block's last points reach far in few
+    rounds. A point is done once its k-th best is <= |dx| at the next offset
+    on both sides, as |dx| only grows further out; indices past either end
+    read x = +-inf. So neither the axis, the block nor the rounds change a
+    distance."""
+    if np.ptp(ys) > np.ptp(xs):
+        xs, ys = ys, xs
     m, order = xs.size, np.argsort(xs, kind="stable")
     x, y = (np.append(v[order], (np.inf, -np.inf)) for v in (xs, ys))
-    kth, active, best = np.empty(m), np.arange(m), np.full((m, k), np.inf)
-    for r in range(1, m, 16):
-        offsets = np.arange(r, r + 16)
-        j = (active[:, None] + np.concatenate((offsets, -offsets))).clip(-1, m)
-        d = np.maximum(abs(x[j] - x[active, None]), abs(y[j] - y[active, None]))
-        best = np.partition(np.hstack((best, d)), k - 1, axis=1)[:, :k]
-        gap = np.minimum(
-            x[(active + r + 16).clip(max=m)] - x[active],
-            x[active] - x[(active - r - 16).clip(min=-1)],
-        )
-        done = best[:, k - 1] <= gap
-        kth[order[active[done]]] = best[done, k - 1]
-        active, best = active[~done], best[~done]
-        if not active.size:
-            return kth
+    kth = np.empty(m)
+    for first in range(0, m, KSG_BLOCK):
+        active = np.arange(first, min(first + KSG_BLOCK, m))
+        best, r = np.full((active.size, k), np.inf), 1
+        while active.size:
+            offsets = np.arange(r, r + 16 * KSG_BLOCK // active.size)
+            r += offsets.size
+            j = (active[:, None] + np.concatenate((offsets, -offsets))).clip(-1, m)
+            d = np.maximum(abs(x[j] - x[active, None]), abs(y[j] - y[active, None]))
+            best = np.partition(np.hstack((best, d)), k - 1, axis=1)[:, :k]
+            gap = np.minimum(
+                x[(active + r).clip(max=m)] - x[active],
+                x[active] - x[(active - r).clip(min=-1)],
+            )
+            done = best[:, k - 1] <= gap
+            kth[order[active[done]]] = best[done, k - 1]
+            active, best = active[~done], best[~done]
+    return kth
 
 
 def _count_within(values, radius):
@@ -179,7 +192,7 @@ def extrapolate_slope(slopes):
         try:
             winners.append(_fit_window(ns[ns >= start], ms[ns >= start]))
         except RuntimeError as exc:
-            log.warning("power-law fit failed for window start %s: %s", start, exc)
+            log.warning("power-law fit failed for window start %d: %s", start, exc)
             failed.append({"start": int(start), "reason": str(exc)})
     if not winners:
         raise NumericalFailureError(

@@ -1,13 +1,18 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import digamma
 
+from gkpkit import analysis
 from gkpkit.analysis import (
+    _kth_neighbour_distance,
     extrapolate_slope,
     ksg_mutual_information,
     regression_per_cutoff,
 )
-from gkpkit.bloch import Atlas
+from gkpkit.bloch import Atlas, infidelity_matrix, sample_sphere
 from gkpkit.errors import InvalidArgumentError
 from gkpkit.sweep import CutoffResult, SweepRecord
 
@@ -121,7 +126,7 @@ def _ksg_kd_tree(xs, ys, k):
 
 
 @pytest.mark.parametrize("k", [1, 4, 17, 40])
-def test_ksg_equals_kd_tree_estimator(k):
+def test_ksg_equals_kd_tree_estimator(k, monkeypatch):
     rng = np.random.default_rng(k)
     sets = []
     for m in (k + 1, k + 2, 300):
@@ -132,8 +137,32 @@ def test_ksg_equals_kd_tree_estimator(k):
         sets.append((1000 + ints[0], ints[1]))  # ties where rounding bites
         signs = np.where(rng.random(m) < 0.5, -1.0, 1.0)
         sets.append((signs * ints[0] * (ints[0] < 2), signs * ints[1]))  # +-0.0
-    for xs, ys in sets:
-        assert ksg_mutual_information(xs, ys, k=k) == _ksg_kd_tree(xs, ys, k)
+    xs = rng.standard_normal(300)
+    sets.append((xs, 3.0 * xs + rng.standard_normal(300)))  # scanned along y
+    assert np.ptp(sets[-1][1]) > np.ptp(sets[-1][0])
+    # desk-shaped: all pairs of the 26 core states, E = 2(1 - F) + noise
+    infid = infidelity_matrix(sample_sphere(0.9, 0).points).ravel()
+    sets.append((infid, 2.0 * infid + 0.05 * rng.standard_normal(infid.size)))
+    for block in (analysis.KSG_BLOCK, 1, 7):  # sets span many blocks
+        monkeypatch.setattr(analysis, "KSG_BLOCK", block)
+        for xs, ys in sets:
+            assert ksg_mutual_information(xs, ys, k=k) == _ksg_kd_tree(xs, ys, k)
+            assert np.array_equal(
+                _kth_neighbour_distance(xs, ys, k), _kth_neighbour_distance(ys, xs, k)
+            )
+
+
+def test_ksg_memory_is_bounded():
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal(40_000)
+    ys = 0.7 * xs + rng.standard_normal(40_000)
+    tracemalloc.start()
+    try:
+        ksg_mutual_information(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_ksg_input_validation():
@@ -203,12 +232,21 @@ def test_extrapolation_insensitive_to_last_bits():
         assert result.failed_windows == reference.failed_windows
 
 
-def test_extrapolation_records_failed_windows():
+def test_extrapolation_records_failed_windows(caplog):
     # from N = 100 on, a decaying power law: the windows there fit A = -5
     slopes = {
         n: 2.0 - 5.0 / n if n <= 100 else 1.9 + 5.0 / n for n in range(25, 151, 5)
     }
-    result = extrapolate_slope(slopes)
+    with caplog.at_level(logging.WARNING, logger="gkpkit.analysis"):
+        result = extrapolate_slope(slopes)
+    messages = [r.getMessage() for r in caplog.records if r.name == "gkpkit.analysis"]
+    assert messages == [
+        f"power-law fit failed for window start {w['start']}: {w['reason']}"
+        for w in result.failed_windows
+    ]
+    assert messages[-1] == (
+        "power-law fit failed for window start 130: amplitude -5 is not positive"
+    )
     reasons = {w["start"]: w["reason"] for w in result.failed_windows}
     assert sorted(reasons) == list(range(70, 131, 5))
     assert all("pinned at bound" in reasons[n] for n in range(70, 100, 5))
