@@ -346,7 +346,7 @@ def build_parser():
     p.add_argument("--u", action="append", required=True,
                    help="Bloch vector, alias, or 'core' (repeatable)")
     p.add_argument("--budget", type=int, default=200,
-                   help="Nelder-Mead starts per target, at least 108 (the start grid)")
+                   help="starts per target, at least 108 (the start grid)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_bound)

@@ -7,7 +7,7 @@ matrix then satisfies the purity condition sxx*spp - sxp^2 = 1/4.
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -97,97 +97,88 @@ def _start_grid():
     return np.array(list(product(shifts, shifts, rs, thetas)))
 
 
+# lanes that `minimize` steps together: a block's stencil and the objective's
+# temporaries take ~10 MB whatever the number of lanes
+BLOCK_LANES = 1024
+
+
 @dataclass(frozen=True)
-class NelderMeadResult:
-    x: np.ndarray  # (lanes, dim) best vertex of each lane's last simplex
-    fun: np.ndarray  # (lanes,) its value
-    nfev: int  # evaluations, summed over lanes
+class NewtonResult:
+    x: np.ndarray  # (lanes, dim) last point each lane accepted
+    fun: np.ndarray  # (lanes,) its value, the lowest the lane accepted
+    nfev: int  # points evaluated, summed over lanes
 
 
-def minimize(objective, x0, xatol, fatol, maxiter):
-    """Nelder-Mead (Comput. J. 7, 308 (1965)) on every row of x0 at once.
+def minimize(objective, x0):
+    """Damped Newton (Levenberg-Marquardt style: Marquardt, J. SIAM 11, 431
+    (1963)) on every row of x0, shape (lanes, dim), at once.
 
-    Each row of x0, shape (lanes, dim), is one lane that steps exactly as the
-    reference `_minimize_neldermead` (non-adaptive) would on it alone: same
-    initial simplex, coefficients, convergence test and at most maxiter - 1
-    iterations, with a stable sort, evaluating only the points it evaluates.
     objective(points, lanes) returns the values at points, shape (n, dim),
-    whose row i belongs to lane lanes[i]. A simplex never drops its best
-    vertex and the stable sort keeps the earliest of equal values first, so
-    fun is the lowest value a lane ever evaluated and x the first point there.
+    whose row i belongs to lane lanes[i]. Per iteration one call evaluates
+    each live lane's stencil (its centre, +-h along each axis and the four
+    corners (+-h, +-h) in each plane of two axes, h = 1e-4), whose central
+    differences give f, the gradient g and the Hessian H. A second call
+    evaluates the steps -(H+ + d)^-1 g for the dampings d = 0, 1e-6, 1e-4,
+    1e-2, 1 and 100, where H+ is H with its eigenvalues floored at 0 and the
+    inverse is a pseudo-inverse, and the gradient step -g. A lane moves to
+    its best trial only if that lowers f, and stops when none does, when the
+    drop is below 1e-13 or after 60 iterations.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float)
-    count, dim = x0.shape
-    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
-    for k in range(dim):
-        sim[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + 0.05) * x0[:, k], 0.00025)
-    lanes = np.arange(count)
-    fsim = objective(sim.reshape(-1, dim), np.repeat(lanes, dim + 1)).reshape(count, -1)
-    nfev = fsim.size
-    x, fun = np.empty_like(x0), np.empty(count)
-    for iteration in range(maxiter):
-        rows = np.arange(lanes.size)[:, None]
-        order = np.argsort(fsim, axis=1, kind="stable")
-        sim, fsim = sim[rows, order], fsim[rows, order]
-        stop = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
-        )
-        if iteration == maxiter - 1:
-            stop[:] = True
-        x[lanes[stop]], fun[lanes[stop]] = sim[stop, 0], fsim[stop, 0]
-        lanes, sim, fsim = lanes[~stop], sim[~stop], fsim[~stop]
-        if not lanes.size:
-            break
-        xbar = sim[:, 0]
-        for k in range(1, dim):
-            xbar = xbar + sim[:, k]
-        xbar = xbar / dim
-        worst = sim[:, -1]
-        new_x = (1 + rho) * xbar - rho * worst
-        new_f = objective(new_x, lanes)
-        expand = new_f < fsim[:, 0]
-        contract = ~expand & ~(new_f < fsim[:, -2])
-        outside = contract & (new_f < fsim[:, -1])
-        # one second point per lane that needs one: a * xbar - b * worst is
-        # the expansion, the outside or the inside contraction
-        second = np.flatnonzero(expand | contract)
-        a = np.where(expand, 1 + rho * chi, np.where(outside, 1 + psi * rho, 1 - psi))
-        b = np.where(expand, rho * chi, np.where(outside, psi * rho, -psi))
-        x2 = a[second, None] * xbar[second] - b[second, None] * worst[second]
-        f2 = objective(x2, lanes[second])
-        nfev += lanes.size + second.size
-        take = np.where(
-            expand[second],
-            f2 < new_f[second],
-            np.where(outside[second], f2 <= new_f[second], f2 < fsim[second, -1]),
-        )
-        new_x[second[take]], new_f[second[take]] = x2[take], f2[take]
-        shrink = second[~take & ~expand[second]]
-        kept = np.ones(lanes.size, dtype=bool)
-        kept[shrink] = False
-        sim[kept, -1], fsim[kept, -1] = new_x[kept], new_f[kept]
-        if shrink.size:
-            best = sim[shrink, :1]
-            sim[shrink, 1:] = best + sigma * (sim[shrink, 1:] - best)
-            fsim[shrink, 1:] = objective(
-                sim[shrink, 1:].reshape(-1, dim), np.repeat(lanes[shrink], dim)
-            ).reshape(-1, dim)
-            nfev += dim * shrink.size
-    return NelderMeadResult(x=x, fun=fun, nfev=nfev)
+    h, ftol, maxiter = 1e-4, 1e-13, 60
+    dampings = np.array([0, 1e-6, 1e-4, 1e-2, 1, 100])[:, None]
+    x = np.array(x0, dtype=float)
+    count, dim = x.shape
+    eye, pairs = h * np.eye(dim), np.array(list(combinations(range(dim), 2))).T
+    corners = [s * eye[pairs[0]] + t * eye[pairs[1]] for s, t in product((1, -1), repeat=2)]
+    offsets = np.concatenate(([0 * eye[0]], eye, -eye, *corners))
+    fun, nfev = np.empty(count), 0
+    for first in range(0, count, BLOCK_LANES):
+        lanes = np.arange(first, min(first + BLOCK_LANES, count))
+        for _ in range(maxiter):
+            live = x[lanes]
+            f = objective(
+                (live[:, None] + offsets).reshape(-1, dim), np.repeat(lanes, len(offsets))
+            ).reshape(lanes.size, -1)
+            fun[lanes] = f[:, 0]
+            plus, minus = f[:, 1 : dim + 1], f[:, dim + 1 : 2 * dim + 1]
+            c = f[:, 2 * dim + 1 :].reshape(lanes.size, 4, -1)  # ++, +-, -+, --
+            grad = (plus - minus) / (2 * h)
+            hess = np.zeros((lanes.size, dim, dim))
+            hess[:, range(dim), range(dim)] = (plus - 2 * f[:, :1] + minus) / h**2
+            hess[:, pairs[0], pairs[1]] = hess[:, pairs[1], pairs[0]] = (
+                c[:, 0] - c[:, 1] - c[:, 2] + c[:, 3]
+            ) / (4 * h**2)
+            w, v = np.linalg.eigh(hess)
+            # the floor makes every Newton step a descent direction
+            shifted = np.maximum(w, 0)[:, None, :] + dampings
+            scale = np.divide(1, shifted, out=np.zeros_like(shifted), where=shifted > 0)
+            # -V diag(scale) V^T g, one row per damping, then -g
+            coef = scale * (v * grad[:, :, None]).sum(axis=1)[:, None, :]
+            newton = -(v[:, None] * coef[:, :, None, :]).sum(axis=3)
+            trials = live[:, None] + np.concatenate((newton, -grad[:, None]), axis=1)
+            ft = objective(trials.reshape(-1, dim), np.repeat(lanes, trials.shape[1]))
+            ft = ft.reshape(lanes.size, -1)
+            nfev += f.size + ft.size
+            pick, best = ft.argmin(axis=1), ft.min(axis=1)
+            lower = best < f[:, 0]
+            x[lanes[lower]], fun[lanes[lower]] = trials[lower, pick[lower]], best[lower]
+            lanes = lanes[lower & (f[:, 0] - best >= ftol)]
+            if not lanes.size:
+                break
+    return NewtonResult(x=x, fun=fun, nfev=nfev)
 
 
 def minimize_over_gaussians(targets, budget, seed=0):
-    """Multi-start Nelder-Mead minimization of <O_GKP(u)> over pure Gaussians,
-    for each Bloch vector u of the (T, 3) stack targets.
+    """Multi-start damped-Newton minimization of <O_GKP(u)> over pure
+    Gaussians, for each Bloch vector u of the (T, 3) stack targets.
 
     The starts, the 108 points of _start_grid() and budget - 108 seeded
-    draws, are each one lane per target of a single lockstep `minimize`.
+    draws, are each one lane per target of a single batched `minimize`.
     The squeezing magnitude is clipped to [-R_MAX, R_MAX] inside the
     objective, standing in for the infinite-squeezing limit. Returns, per
-    target, the best value seen across every objective evaluation of every
-    start (ties go to the lowest start) with the corresponding parameters: a
-    (T,) array and GaussianPureParams whose fields have shape (T,).
+    target, the lowest value any start reached (ties go to the lowest start)
+    with the corresponding parameters: a (T,) array and GaussianPureParams
+    whose fields have shape (T,).
     """
     targets = np.array([check_unit(t) for t in targets])
     grid = _start_grid()
@@ -205,7 +196,7 @@ def minimize_over_gaussians(targets, budget, seed=0):
     u_of_lane = np.repeat(targets, budget, axis=0)
     result = minimize(
         lambda points, lanes: gaussian_expectation(params(points), u_of_lane[lanes]),
-        np.tile(starts, (len(targets), 1)), xatol=1e-7, fatol=1e-10, maxiter=2000,
+        np.tile(starts, (len(targets), 1)),
     )
     best = np.argmin(result.fun.reshape(-1, budget), axis=1)
     best += budget * np.arange(len(targets))

@@ -7,6 +7,7 @@ from scipy.special import digamma
 
 from gkpkit import analysis
 from gkpkit.analysis import (
+    _count_within,
     _kth_neighbour_distance,
     extrapolate_slope,
     ksg_mutual_information,
@@ -150,6 +151,14 @@ def test_ksg_equals_kd_tree_estimator(k, monkeypatch):
             assert np.array_equal(
                 _kth_neighbour_distance(xs, ys, k), _kth_neighbour_distance(ys, xs, k)
             )
+    # the marginal counts do not depend on the order of the queries
+    xs, ys = sets[-1]
+    radius = _kth_neighbour_distance(xs, ys, k) - 1e-15
+    perm = rng.permutation(xs.size)
+    for values in (xs, ys):
+        assert np.array_equal(
+            _count_within(values[perm], radius[perm]), _count_within(values, radius)[perm]
+        )
 
 
 def test_ksg_memory_is_bounded():

@@ -409,12 +409,14 @@ def _bundled_openblas():
     [
         ["sweep", "--cutoffs", "85,100"],
         ["groundstate", "--u", "H", "--cutoff", "150", "--wigner", "--grid=-18:18:271"],
+        ["bound", "--u", "0", "--u", "H", "--budget", "108"],
     ],
-    ids=["sweep", "groundstate"],
+    ids=["sweep", "groundstate", "bound"],
 )
 def test_results_independent_of_blas_threads(tmp_path, args):
     # one and two OpenBLAS threads give different last bits in eigh and
-    # in the Wigner products unless main runs on one thread. A CLI process
+    # in the Wigner products unless main runs on one thread; the bound
+    # search calls eigh on stacks of 4 x 4 Hessians. A CLI process
     # loads OpenBLAS with one thread whatever OPENBLAS_NUM_THREADS says, so
     # each run loads numpy first, at the count asked for, as a library
     # caller does, and then calls main

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gkpkit import gaussian
+from gkpkit.bloch import core_states
 from gkpkit.errors import InvalidArgumentError
 from gkpkit.fock import displacement_matrix, expectation, quadrature_matrix
 from gkpkit.gaussian import (
@@ -154,52 +155,99 @@ def test_non_gaussian_ground_state_beats_bound():
     assert val < gaussian_bound(u)
 
 
-def _clipped_expectation(points, u):
-    x0, p0, r, theta = np.asarray(points, dtype=float).T
-    r = np.clip(r, -gaussian.R_MAX, gaussian.R_MAX)
-    return gaussian_expectation(GaussianPureParams(x0, p0, r, theta), u)
-
-
-def test_lockstep_nelder_mead_matches_scipy_lane_by_lane(monkeypatch):
-    from scipy.optimize import minimize as scipy_minimize
-
-    rng = np.random.default_rng(11)
-    targets = np.array([(0, 0, 1.0), (S2, S2, 0), (S3, -S3, S3)])
-    starts = rng.uniform((0, 0, 0, -math.pi / 2), (4, 4, 6, math.pi / 2), size=(40, 4))
-    x0 = np.tile(starts, (len(targets), 1))
-    owner = np.repeat(np.arange(len(targets)), len(starts))
-    calls = np.zeros(len(x0), dtype=int)
+def test_minimize_converges_on_every_lane():
+    # sum_i cosh(y_i), y = (x - c) M, has its one minimum, 4, at x = c, with
+    # the non-diagonal Hessian M M^T there: every lane gets there from its
+    # own start, and nfev counts every point evaluated
+    mix = np.array([[2.0, 1, 0, 0], [0, 1, 0.5, 0], [0, 0, 3, 1], [1, 0, 0, 0.5]])
+    rng = np.random.default_rng(2)
+    centres = rng.uniform(-1, 1, size=(6, 4))
+    sizes = []
 
     def objective(points, lanes):
-        np.add.at(calls, lanes, 1)
-        return _clipped_expectation(points, targets[owner[lanes]])
+        sizes.append(len(points))
+        return np.cosh((points - centres[lanes]) @ mix).sum(axis=1)
 
-    result = minimize(objective, x0, xatol=1e-7, fatol=1e-10, maxiter=2000)
-    assert result.nfev == calls.sum()
-    # Once r is clipped or a term underflows, simplex values tie exactly, and
-    # numpy's default argsort orders ties differently on hosts with SIMD
-    # sorts; the oracle runs with the stable order the lockstep search uses.
-    argsort = np.argsort
-    monkeypatch.setattr(
-        np, "argsort", lambda a, axis=-1, **_: argsort(a, axis=axis, kind="stable")
-    )
-    same_nfev = 0
-    for lane, start in enumerate(x0):
-        seen = []
+    result = minimize(objective, centres + rng.uniform(-2, 2, size=(6, 4)))
+    assert result.nfev == sum(sizes)
+    assert np.max(np.abs(result.x - centres)) <= 1e-6
+    assert np.max(np.abs(result.fun - 4)) <= 1e-12
 
-        def scalar(vec, u=targets[owner[lane]]):
-            seen.append(_clipped_expectation(vec, u))
-            return seen[-1]
 
-        ref = scipy_minimize(
-            scalar, start, method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 2000},
+def _scalar_expectation(vec, u):
+    # <O_GKP(u)> of one Gaussian in plain floats, with r clipped as the
+    # search clips it: each quadrature q in (x, x - p, p), with mean a and
+    # variance s, adds e^(-2 pi s) cos(2 sqrt(pi) a) / 3 + u_q e^(-pi s / 2)
+    # cos(sqrt(pi) a) to the sum subtracted from 2
+    x0, p0, r, theta = vec
+    r = min(max(r, -gaussian.R_MAX), gaussian.R_MAX)
+    c, s = math.cos(theta), math.sin(theta)
+    em, ep = math.exp(-2 * r), math.exp(2 * r)
+    sxx, spp = 0.5 * (em * c * c + ep * s * s), 0.5 * (em * s * s + ep * c * c)
+    sxp = 0.5 * (em - ep) * s * c
+    total = 0.0
+    for var, mean, weight in ((sxx, x0, u[2]), (sxx - 2 * sxp + spp, x0 - p0, u[1]),
+                              (spp, p0, u[0])):
+        total += math.exp(-2 * math.pi * var) * math.cos(2 * math.sqrt(math.pi) * mean) / 3
+        total += weight * math.exp(-math.pi * var / 2) * math.cos(math.sqrt(math.pi) * mean)
+    return 2 - total
+
+
+def test_search_reaches_scipy_nelder_mead_minimum():
+    # an independent search from the same 108 grid starts: scipy's
+    # Nelder-Mead on a plain-float copy of the clipped objective
+    from scipy.optimize import minimize as scipy_minimize
+
+    u = np.random.default_rng(5).standard_normal(3)
+    targets = np.array([(0, 0, 1.0), (S2, S2, 0), (S3, S3, S3), u / np.linalg.norm(u)])
+    values, _ = minimize_over_gaussians(targets, budget=108, seed=0)
+    starts = gaussian._start_grid()
+    for value, u in zip(values, targets):
+        exact = gaussian_expectation(GaussianPureParams(*starts.T), u)
+        assert np.allclose([_scalar_expectation(s, u) for s in starts], exact,
+                           rtol=0, atol=1e-12)
+        best = min(
+            scipy_minimize(
+                _scalar_expectation, start, args=(u,), method="Nelder-Mead",
+                options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 2000},
+            ).fun
+            for start in starts
         )
-        # the final vertex is the lowest value the lane ever evaluated
-        assert ref.fun == min(seen)
-        assert abs(result.fun[lane] - ref.fun) <= 1e-9
-        same_nfev += calls[lane] == ref.nfev
-    assert same_nfev >= 0.95 * len(x0)
+        assert value <= best + 1e-9
+
+
+# minima of the multi-start Nelder-Mead that the Newton search replaced, at
+# budget 200: the state workload's targets 0, H, T and its seeded vector
+# (seeds 0 and 1), and the 26 core states (seed 0)
+NM_MIN = {"0L": 0.6666779264501534, "iL": 0.6666891860830721,
+          "-iL": 0.666689186109739, "H": 0.9595697318659475, "T": 1.089325617704466}
+NM_STATE = {
+    0: ((0.5184546133047977, -0.7688759869743359, -0.374211879283934), 0.8978109684711892),
+    1: ((0.6639146003258037, 0.7470264646718457, 0.0341886611921574), 0.9196602799220699),
+}
+
+
+def _nm_core_minimum(label):
+    # each H and each T state shares one minimum; so do 0L, 1L, +L and -L
+    return NM_MIN.get(label, NM_MIN.get(label[0], NM_MIN["0L"]))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_keeps_nelder_mead_minima_of_state_targets(seed):
+    vector, minimum = NM_STATE[seed]
+    targets = np.array([(0, 0, 1.0), (S2, S2, 0), (S3, S3, S3), vector])
+    values, _ = minimize_over_gaussians(targets, budget=200, seed=seed)
+    expected = [NM_MIN["0L"], NM_MIN["H"], NM_MIN["T"], minimum]
+    assert np.max(np.abs(values - expected)) <= 1e-9
+    assert all(v >= gaussian_bound(u) - 1e-9 for v, u in zip(values, targets))
+
+
+def test_search_keeps_nelder_mead_minima_of_core_states():
+    states = core_states()
+    values, _ = minimize_over_gaussians(np.array([u for _, u in states]), budget=200)
+    expected = [_nm_core_minimum(label) for label, _ in states]
+    assert np.max(np.abs(values - expected)) <= 1e-9
+    assert all(v >= gaussian_bound(u) - 1e-9 for v, (_, u) in zip(values, states))
 
 
 @pytest.mark.parametrize("budget", [200, 120, 108])
@@ -212,6 +260,16 @@ def test_batched_search_equals_single_target_calls(budget):
         assert value[0] == values[i]
         for field in ("x0", "p0", "r", "theta"):
             assert getattr(single, field)[0] == getattr(params, field)[i]
+
+
+def test_lane_blocks_do_not_change_the_search(monkeypatch):
+    targets = np.array([(0, 0, 1.0), (0.6, -0.8, 0)])
+    whole = minimize_over_gaussians(targets, budget=120, seed=2)
+    monkeypatch.setattr(gaussian, "BLOCK_LANES", 7)
+    blocked = minimize_over_gaussians(targets, budget=120, seed=2)
+    assert np.array_equal(whole[0], blocked[0])
+    for field in ("x0", "p0", "r", "theta"):
+        assert np.array_equal(getattr(whole[1], field), getattr(blocked[1], field))
 
 
 def test_batched_search_shapes():
