@@ -242,6 +242,24 @@ def test_search_keeps_nelder_mead_minima_of_state_targets(seed):
     assert all(v >= gaussian_bound(u) - 1e-9 for v, u in zip(values, targets))
 
 
+def test_hessian_floor_keeps_the_search_short(monkeypatch):
+    # the state targets at budget 200 take 302,280 points; with the
+    # eigenvalue floor dropped, Newton steps climb along negative curvature
+    # and the same minima take about 419,000
+    nfev = []
+    search = gaussian.minimize
+
+    def counted(objective, x0):
+        result = search(objective, x0)
+        nfev.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(gaussian, "minimize", counted)
+    targets = np.array([(0, 0, 1.0), (S2, S2, 0), (S3, S3, S3), NM_STATE[0][0]])
+    minimize_over_gaussians(targets, budget=200, seed=0)
+    assert nfev[0] <= 330_000
+
+
 def test_search_keeps_nelder_mead_minima_of_core_states():
     states = core_states()
     values, _ = minimize_over_gaussians(np.array([u for _, u in states]), budget=200)
