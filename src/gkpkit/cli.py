@@ -115,15 +115,9 @@ def cmd_atlas(args):
     atlas = bloch.order_greedy(bloch.sample_sphere(args.delta, args.seed))
     out = _ensure_out(args.out)
     config = {"command": "atlas", "delta": args.delta, "seed": args.seed}
-    rows = [
-        (i, atlas.labels[i], *atlas.points[i], i) for i in range(len(atlas))
-    ]
-    io_utils.write_csv(
-        os.path.join(out, "atlas.csv"),
-        ("index", "label", "ux", "uy", "uz", "order_position"),
-        rows,
-        config,
-    )
+    rows = [(i, atlas.labels[i], *atlas.points[i]) for i in range(len(atlas))]
+    header = ("index", "label", "ux", "uy", "uz")
+    io_utils.write_csv(os.path.join(out, "atlas.csv"), header, rows, config)
     io_utils.write_json(
         os.path.join(out, "atlas.json"),
         {
@@ -222,14 +216,10 @@ def cmd_analyze(args):
         io_utils.write_csv(os.path.join(out, name), header, matrix, config)
 
     dump_matrix("infidelity.csv", record.infidelity)
-    dump_matrix("infidelity_normalized.csv", sweep.normalize_matrix(record.infidelity))
     diagnostics = {"diagonal_violations": {}, "identity_deviation": {}}
     for n in record.cutoffs:
         expectation = record.results[n].expectation
         dump_matrix(f"expectation_N{n}.csv", expectation)
-        dump_matrix(
-            f"expectation_N{n}_normalized.csv", sweep.normalize_matrix(expectation)
-        )
         diagnostics["diagonal_violations"][str(n)] = sweep.diagonal_violations(
             expectation
         )

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import json
+import math
 import os
 from datetime import datetime, timezone
 
@@ -109,11 +110,15 @@ def write_sweep(path, record, config):
 
 
 def _float_array(value, name, *shape):
-    """value as a float array of the given shape; ValueError otherwise."""
-    array = np.array(value, dtype=float)
+    """value as a finite float array of the given shape; ValueError otherwise."""
+    array = np.array(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} holds values that are not numbers")
     if array.shape != shape:
         raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
-    return array
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds a non-finite number")
+    return array.astype(float, copy=False)
 
 
 def _reject_constant(name):
@@ -128,8 +133,9 @@ def load_sweep(path):
     infinity anywhere in it included), is not a JSON object, carries another
     schema version, lacks a key sweep writes (at the top level, in the atlas
     or in a per-cutoff block), or is inconsistent: cutoffs that are not
-    distinct ascending ints naming the per-cutoff blocks, or arrays whose
-    shapes do not fit M (M, 3) points.
+    distinct ascending ints naming the per-cutoff blocks, arrays that hold
+    anything but numbers or whose shapes do not fit M (M, 3) points, labels
+    that are not M strings, or a parity gap that is not a positive number.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -163,21 +169,27 @@ def load_sweep(path):
             raise ValueError(f"cutoffs {cutoffs} are not distinct and ascending")
         if set(doc["per_cutoff"]) != {str(n) for n in cutoffs}:
             raise ValueError(f"cutoffs {cutoffs} do not name the per-cutoff blocks")
-        m = len(atlas["points"])
+        m, labels = len(atlas["points"]), atlas["labels"]
+        if not (isinstance(labels, list) and len(labels) == m
+                and all(type(label) is str for label in labels)):
+            raise ValueError(f"labels are not a list of {m} strings")
         record = SweepRecord(
             atlas=Atlas(_float_array(atlas["points"], "points", m, 3),
-                        atlas["labels"], atlas["delta"], atlas["seed"]),
+                        labels, atlas["delta"], atlas["seed"]),
             cutoffs=cutoffs,
             infidelity=_float_array(doc["infidelity"], "infidelity", m, m),
         )
         for n in cutoffs:
             block = doc["per_cutoff"][str(n)]
+            gap = block["parity_gap"]  # bool is an int, 1e999 reads as inf
+            if type(gap) not in (int, float) or not 0 < gap < math.inf:
+                raise ValueError(f"parity gap at N = {n} is {gap!r}")
             record.results[n] = CutoffResult(
                 _float_array(block["expectation"], f"expectation at N = {n}", m, m),
                 _float_array(
                     block["ground_energies"], f"ground energies at N = {n}", m
                 ),
-                float(block["parity_gap"]),
+                float(gap),
             )
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"corrupt sweep file {path}: {exc}") from exc

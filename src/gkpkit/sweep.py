@@ -135,15 +135,6 @@ def run_sweep(atlas, cutoffs, done=None):
     return record
 
 
-def normalize_matrix(matrix):
-    """Affine min-max rescale of a matrix to [0, 1]."""
-    matrix = np.asarray(matrix, dtype=float)
-    lo, hi = matrix.min(), matrix.max()
-    if hi == lo:
-        raise InvalidArgumentError("cannot normalize a constant matrix")
-    return (matrix - lo) / (hi - lo)
-
-
 def logical_subspace_identity_check(record, cutoff):
     """Max |E[N][i,j] - 2 * (1 - F_ij)| over all state/operator pairs."""
     if cutoff not in record.results:

@@ -69,7 +69,7 @@ def test_atlas_command(tmp_path):
     out = tmp_path / "a"
     assert main(["atlas", "--delta", "0.6", "--seed", "1", "--out", str(out)]) == 0
     meta, header, rows = read_csv(out / "atlas.csv")
-    assert header == ["index", "label", "ux", "uy", "uz", "order_position"]
+    assert header == ["index", "label", "ux", "uy", "uz"]
     assert len(rows) >= 26
     assert meta["delta"] == "0.6"
     points = np.array([[float(r[2]), float(r[3]), float(r[4])] for r in rows])
@@ -161,8 +161,10 @@ def test_sweep_analyze_roundtrip(tmp_path):
     with open(an / "diagnostics.json") as fh:
         diag = json.load(fh)
     assert set(diag["identity_deviation"]) == {"10", "20", "30"}
-    assert (an / "expectation_N20.csv").exists()
-    assert (an / "expectation_N20_normalized.csv").exists()
+    assert sorted(os.listdir(an)) == sorted(
+        ["regression.csv", "extrapolation.json", "diagnostics.json", "infidelity.csv"]
+        + [f"expectation_N{n}.csv" for n in (10, 20, 30)]
+    )
 
 
 def test_sweep_resume_skips_done_cutoffs(tmp_path, monkeypatch):
@@ -263,11 +265,24 @@ def valid_sweep_text(tmp_path_factory):
         lambda doc: doc["per_cutoff"]["10"]["expectation"][0].__setitem__(1, math.nan),
         lambda doc: doc["per_cutoff"]["10"].update(parity_gap=math.inf),
         lambda doc: doc["per_cutoff"]["10"].pop("parity_gap"),
+        # values np.array or float() would take for numbers; labels that do not
+        # fit the points
+        lambda doc: doc["per_cutoff"]["10"]["expectation"][0].__setitem__(1, "nan"),
+        lambda doc: doc["per_cutoff"]["10"]["expectation"][0].__setitem__(1, "1e999"),
+        lambda doc: doc["per_cutoff"]["10"].update(parity_gap="1e999"),
+        lambda doc: doc["per_cutoff"]["10"].update(parity_gap="inf"),
+        lambda doc: doc["per_cutoff"]["10"].update(parity_gap="0.5"),
+        lambda doc: doc["per_cutoff"]["10"].update(parity_gap=True),
+        lambda doc: doc["atlas"]["labels"].pop(),
+        lambda doc: doc["atlas"]["labels"].__setitem__(0, 0),
     ],
     ids=["truncated", "list", "missing_keys", "per_cutoff_list", "empty_atlas",
          "empty_cutoff_block", "cutoffs_not_a_list", "cutoff_without_block",
          "1x1_expectation", "string_expectation", "duplicate_cutoffs",
-         "nan_expectation", "infinite_parity_gap", "missing_parity_gap"],
+         "nan_expectation", "infinite_parity_gap", "missing_parity_gap",
+         "quoted_nan_expectation", "overflowing_expectation",
+         "overflowing_parity_gap", "quoted_inf_parity_gap", "quoted_parity_gap",
+         "boolean_parity_gap", "short_labels", "number_label"],
 )
 def test_bad_sweep_file_exits_2_on_resume_and_analyze(
     tmp_path, capsys, valid_sweep_text, text
@@ -275,7 +290,8 @@ def test_bad_sweep_file_exits_2_on_resume_and_analyze(
     if callable(text):
         doc = json.loads(valid_sweep_text)
         text(doc)
-        text = json.dumps(doc)
+        # "1e999" stands for the bare number, which json.dumps cannot write
+        text = json.dumps(doc).replace('"1e999"', "1e999")
     bad = tmp_path / "sweep.json"
     bad.write_text(text)
     resume = ["sweep", "--cutoffs", "10", "--out", str(tmp_path), "--resume"]

@@ -21,7 +21,6 @@ from gkpkit.operators import build_operator_set, gkp_operator
 from gkpkit.sweep import (
     diagonal_violations,
     logical_subspace_identity_check,
-    normalize_matrix,
     run_sweep,
 )
 
@@ -86,22 +85,9 @@ def test_sweep_determinism(stabilizer_record):
     )
 
 
-def test_normalize_matrix_examples():
-    np.testing.assert_allclose(
-        normalize_matrix([[0, 2], [4, 2]]), [[0, 0.5], [1, 0.5]]
-    )
-    already = np.array([[0.0, 0.3], [1.0, 0.6]])
-    np.testing.assert_allclose(normalize_matrix(already), already)
-
-
-def test_normalize_matrix_rejects_constant():
-    with pytest.raises(InvalidArgumentError):
-        normalize_matrix(np.full((3, 3), 2.0))
-
-
-def test_normalized_matrices_share_argmin_structure(stabilizer_record):
-    exp = normalize_matrix(stabilizer_record.results[50].expectation)
-    inf = normalize_matrix(stabilizer_record.infidelity)
+def test_expectation_and_infidelity_share_argmin_structure(stabilizer_record):
+    exp = stabilizer_record.results[50].expectation
+    inf = stabilizer_record.infidelity
     np.testing.assert_array_equal(
         np.argmin(exp, axis=1), np.argmin(inf, axis=1)
     )
