@@ -113,16 +113,16 @@ def minimize(objective, x0):
     """Damped Newton (Levenberg-Marquardt style: Marquardt, J. SIAM 11, 431
     (1963)) on every row of x0, shape (lanes, dim), at once.
 
-    objective(points, lanes) returns the values at points, shape (n, dim),
-    whose row i belongs to lane lanes[i]. Per iteration one call evaluates
-    each live lane's stencil (its centre, +-h along each axis and the four
-    corners (+-h, +-h) in each plane of two axes, h = 1e-4), whose central
-    differences give f, the gradient g and the Hessian H. A second call
-    evaluates the steps -(H+ + d)^-1 g for the dampings d = 0, 1e-6, 1e-4,
-    1e-2, 1 and 100, where H+ is H with its eigenvalues floored at 0 and the
-    inverse is a pseudo-inverse, and the gradient step -g. A lane moves to
-    its best trial only if that lowers f, and stops when none does, when the
-    drop is below 1e-13 or after 60 iterations.
+    objective(points, lanes) returns the values at points, shape (n, dim), whose
+    row i belongs to lane lanes[i]. A lane keeps f, the value at its start or at
+    the last point it accepted. Per iteration one call evaluates each live lane's
+    stencil (+-h along each axis and the four corners (+-h, +-h) in each plane of
+    two axes, h = 1e-4), whose central differences with f give the gradient g and
+    the Hessian H. A second call evaluates the steps -(H+ + d)^-1 g for the
+    dampings d = 0, 1e-6, 1e-4, 1e-2, 1 and 100, where H+ is H with its
+    eigenvalues floored at 0 and the inverse is a pseudo-inverse, and the
+    gradient step -g. A lane moves to its best trial only if that lowers f, and
+    stops when none does, when the drop is below 1e-13 or after 60 iterations.
     """
     h, ftol, maxiter = 1e-4, 1e-13, 60
     dampings = np.array([0, 1e-6, 1e-4, 1e-2, 1, 100])[:, None]
@@ -130,21 +130,21 @@ def minimize(objective, x0):
     count, dim = x.shape
     eye, pairs = h * np.eye(dim), np.array(list(combinations(range(dim), 2))).T
     corners = [s * eye[pairs[0]] + t * eye[pairs[1]] for s, t in product((1, -1), repeat=2)]
-    offsets = np.concatenate(([0 * eye[0]], eye, -eye, *corners))
-    fun, nfev = np.empty(count), 0
+    offsets = np.concatenate((eye, -eye, *corners))
+    fun, nfev = np.empty(count), count
     for first in range(0, count, BLOCK_LANES):
         lanes = np.arange(first, min(first + BLOCK_LANES, count))
+        fun[lanes] = objective(x[lanes], lanes)
         for _ in range(maxiter):
-            live = x[lanes]
+            live, centre = x[lanes], fun[lanes]
             f = objective(
                 (live[:, None] + offsets).reshape(-1, dim), np.repeat(lanes, len(offsets))
             ).reshape(lanes.size, -1)
-            fun[lanes] = f[:, 0]
-            plus, minus = f[:, 1 : dim + 1], f[:, dim + 1 : 2 * dim + 1]
-            c = f[:, 2 * dim + 1 :].reshape(lanes.size, 4, -1)  # ++, +-, -+, --
+            plus, minus = f[:, :dim], f[:, dim : 2 * dim]
+            c = f[:, 2 * dim :].reshape(lanes.size, 4, -1)  # ++, +-, -+, --
             grad = (plus - minus) / (2 * h)
             hess = np.zeros((lanes.size, dim, dim))
-            hess[:, range(dim), range(dim)] = (plus - 2 * f[:, :1] + minus) / h**2
+            hess[:, range(dim), range(dim)] = (plus - 2 * centre[:, None] + minus) / h**2
             hess[:, pairs[0], pairs[1]] = hess[:, pairs[1], pairs[0]] = (
                 c[:, 0] - c[:, 1] - c[:, 2] + c[:, 3]
             ) / (4 * h**2)
@@ -160,9 +160,9 @@ def minimize(objective, x0):
             ft = ft.reshape(lanes.size, -1)
             nfev += f.size + ft.size
             pick, best = ft.argmin(axis=1), ft.min(axis=1)
-            lower = best < f[:, 0]
+            lower = best < centre
             x[lanes[lower]], fun[lanes[lower]] = trials[lower, pick[lower]], best[lower]
-            lanes = lanes[lower & (f[:, 0] - best >= ftol)]
+            lanes = lanes[lower & (centre - best >= ftol)]
             if not lanes.size:
                 break
     return NewtonResult(x=x, fun=fun, nfev=nfev)

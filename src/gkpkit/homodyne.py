@@ -22,13 +22,6 @@ DEFAULT_GRID_POINTS = 4096
 
 
 @dataclass
-class QuadratureSamples:
-    angle: float
-    values: np.ndarray
-    seed: int
-
-
-@dataclass
 class WitnessEstimate:
     value: float
     std_error: float
@@ -104,10 +97,17 @@ def rotated_wavefunction(state, angle, grid):
     return psi
 
 
+def _check_count(count):
+    if count < 2:  # one sample has no sample variance
+        raise InvalidArgumentError(
+            f"each quadrature needs at least 2 samples, got {count}"
+        )
+
+
 def sample_quadrature(state, angle, count, seed):
-    """Draw homodyne outcomes at the angle by inverse-CDF sampling on default_grid."""
-    if count < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {count}")
+    """count homodyne outcomes at the angle, drawn by inverse-CDF sampling on
+    default_grid from a generator seeded with seed."""
+    _check_count(count)
     grid = default_grid(state)
     psi = rotated_wavefunction(state, angle, grid)
     pdf = np.abs(psi) ** 2
@@ -116,68 +116,51 @@ def sample_quadrature(state, angle, count, seed):
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * dx * (pdf[1:] + pdf[:-1]))))
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    uniforms = rng.random(count)
-    values = np.interp(uniforms, cdf, grid)
-    return QuadratureSamples(angle=angle, values=values, seed=seed)
-
-
-def _check_count(count):
-    if count < 2:  # one sample has no sample variance
-        raise InvalidArgumentError(
-            f"each quadrature needs at least 2 samples, got {count}"
-        )
+    return np.interp(rng.random(count), cdf, grid)
 
 
 def measure_quadratures(state, count, seed):
-    """The three sample sets of the witness: count homodyne outcomes at each
-    of MEASUREMENT_ANGLES, the k-th drawn with seed + k."""
-    _check_count(count)
-    return [
+    """The (3, count) homodyne outcomes of the witness: row k holds count
+    outcomes at MEASUREMENT_ANGLES[k], drawn with seed + k."""
+    return np.array([
         sample_quadrature(state, angle, count, seed + k)
         for k, angle in enumerate(MEASUREMENT_ANGLES)
-    ]
+    ])
 
 
 def estimate_witness(samples, u):
-    """Estimate <O_GKP(u)> from three sets of homodyne samples.
+    """Estimate <O_GKP(u)> from a (3, count) array of homodyne outcomes.
 
-    samples holds one QuadratureSamples at each of the angles 0, pi/2 and
-    -pi/4 (`measure_quadratures` draws them from a Fock state).  The standard
-    error combines per-sample-set variances of the assembled integrand; the
-    three sets are independent.
+    Row k of samples holds the outcomes at MEASUREMENT_ANGLES[k]
+    (`measure_quadratures` draws them from a Fock state).  The standard
+    error combines per-row variances of the assembled integrand; the three
+    rows are independent.
     """
     u = check_unit(u)
-    by_angle = {round(s.angle, 12): s for s in samples}
-    try:
-        samples = [by_angle[round(a, 12)] for a in MEASUREMENT_ANGLES]
-    except KeyError as exc:
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[0] != 3:
         raise InvalidArgumentError(
-            f"samples must cover angles {MEASUREMENT_ANGLES}"
-        ) from exc
-    _check_count(min(s.values.size for s in samples))
-    if not all(np.isfinite(s.values).all() for s in samples):
+            f"samples must have shape (3, count), got {samples.shape}"
+        )
+    count = samples.shape[1]
+    _check_count(count)
+    if not np.isfinite(samples).all():
         raise InvalidArgumentError("samples must be finite")
 
-    # (samples, single-frequency, Bloch coefficient); x - p = sqrt(2) x_(-pi/4)
-    setup = [
-        (samples[0].values, SQRT_PI, u[2]),  # cos(sqrt(pi) x) terms
-        (samples[1].values, SQRT_PI, u[0]),  # cos(sqrt(pi) p) terms
-        (samples[2].values, SQRT_2PI, u[1]),  # cos(sqrt(pi)(x-p)) terms
-    ]
-    per_term = []
-    total = 0.0
-    variance = 0.0
-    for vals, freq, coeff in setup:
-        single = np.cos(freq * vals)
-        double = np.cos(2 * freq * vals)
-        n = vals.size
-        per_term.append((float(single.mean()), float(single.std(ddof=1) / math.sqrt(n))))
-        per_term.append((float(double.mean()), float(double.std(ddof=1) / math.sqrt(n))))
-        combined = double / 3.0 + coeff * single
-        total += float(combined.mean())
-        variance += float(combined.var(ddof=1) / n)
+    # cos(f q) and cos(2 f q) per row: f = sqrt(pi) on x (the u_z term) and p
+    # (u_x), sqrt(2 pi) on x_(-pi/4) = (x - p) / sqrt(2) (u_y)
+    freq = np.array([[SQRT_PI], [SQRT_PI], [SQRT_2PI]])
+    single = np.cos(freq * samples)
+    double = np.cos(2 * freq * samples)
+    stats = [(m.mean(axis=1), m.std(axis=1, ddof=1) / math.sqrt(count))
+             for m in (single, double)]
+    # the integrand overwrites double: one (3, count) array fewer at the peak
+    combined = np.divide(double, 3.0, out=double)
+    combined += u[[2, 0, 1], None] * single
     return WitnessEstimate(
-        value=2.0 - total,
-        std_error=math.sqrt(variance),
-        per_term=tuple(per_term),
+        value=2.0 - float(combined.mean(axis=1).sum()),
+        std_error=math.sqrt(float((combined.var(axis=1, ddof=1) / count).sum())),
+        per_term=tuple(
+            (float(mean[k]), float(error[k])) for k in range(3) for mean, error in stats
+        ),
     )

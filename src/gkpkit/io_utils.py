@@ -112,7 +112,9 @@ def write_sweep(path, record, config):
 def _float_array(value, name, *shape):
     """value as a finite float array of the given shape; ValueError otherwise."""
     array = np.array(value)
-    if array.dtype.kind not in "iuf":
+    # numpy reads a JSON true or false among numbers as 1.0 or 0.0
+    entries = np.ravel(np.array(value, dtype=object))
+    if array.dtype.kind not in "iuf" or bool in map(type, entries):
         raise ValueError(f"{name} holds values that are not numbers")
     if array.shape != shape:
         raise ValueError(f"{name} has shape {array.shape}, expected {shape}")

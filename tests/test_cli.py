@@ -275,6 +275,10 @@ def valid_sweep_text(tmp_path_factory):
         lambda doc: doc["per_cutoff"]["10"].update(parity_gap=True),
         lambda doc: doc["atlas"]["labels"].pop(),
         lambda doc: doc["atlas"]["labels"].__setitem__(0, 0),
+        # numpy reads true and false among numbers as 1.0 and 0.0
+        lambda doc: doc["per_cutoff"]["10"]["expectation"][0].__setitem__(1, True),
+        lambda doc: doc["per_cutoff"]["20"]["ground_energies"].__setitem__(2, False),
+        lambda doc: doc["atlas"]["points"][3].__setitem__(0, True),
     ],
     ids=["truncated", "list", "missing_keys", "per_cutoff_list", "empty_atlas",
          "empty_cutoff_block", "cutoffs_not_a_list", "cutoff_without_block",
@@ -282,7 +286,8 @@ def valid_sweep_text(tmp_path_factory):
          "nan_expectation", "infinite_parity_gap", "missing_parity_gap",
          "quoted_nan_expectation", "overflowing_expectation",
          "overflowing_parity_gap", "quoted_inf_parity_gap", "quoted_parity_gap",
-         "boolean_parity_gap", "short_labels", "number_label"],
+         "boolean_parity_gap", "short_labels", "number_label",
+         "boolean_expectation", "boolean_ground_energy", "boolean_point"],
 )
 def test_bad_sweep_file_exits_2_on_resume_and_analyze(
     tmp_path, capsys, valid_sweep_text, text

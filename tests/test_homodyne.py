@@ -16,6 +16,7 @@ from gkpkit.homodyne import (
     wavefunction,
 )
 from gkpkit.operators import gkp_operator
+from gkpkit.sweep import ground_states
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -99,19 +100,19 @@ def test_mass_deficit_error():
 
 def test_vacuum_sample_variance():
     samples = sample_quadrature(VACUUM, 0.0, 100_000, seed=0)
-    assert samples.values.var() == pytest.approx(0.5, abs=0.01)
+    assert samples.var() == pytest.approx(0.5, abs=0.01)
 
 
 def test_squeezed_sample_variance():
     state = squeezed_vacuum_fock(1.0, 120)
     samples = sample_quadrature(state, 0.0, 100_000, seed=1)
-    assert samples.values.var() == pytest.approx(math.exp(-2) / 2, abs=0.01)
+    assert samples.var() == pytest.approx(math.exp(-2) / 2, abs=0.01)
 
 
 def test_sampling_determinism():
     a = sample_quadrature(VACUUM, 0.0, 1000, seed=5)
     b = sample_quadrature(VACUUM, 0.0, 1000, seed=5)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_witness_vacuum_oracle():
@@ -133,6 +134,18 @@ def test_witness_certifies_non_gaussianity():
     assert est.value < gaussian_bound(u) - 4 * est.std_error
 
 
+def test_witness_pairs_each_row_with_its_bloch_component():
+    # the u-weighted term of +L comes only from the p row (u_x), that of iL
+    # only from the x - p row (u_y); swapping the two coefficients moves these
+    # estimates by over 100 sigma
+    targets = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, -0.5, 0.8]])
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    states, result = ground_states(targets, 80)
+    for i, u in enumerate(targets):
+        est = estimate_witness(measure_quadratures(states[i], 20_000, seed=0), u)
+        assert abs(est.value - result.expectation[i, i]) <= 4 * est.std_error, u
+
+
 def test_witness_rejects_non_unit():
     with pytest.raises(InvalidArgumentError):
         estimate_witness(measure_quadratures(VACUUM, 100, seed=0), (1, 1, 0))
@@ -140,26 +153,25 @@ def test_witness_rejects_non_unit():
 
 def test_measure_quadratures_seeds_each_angle_in_turn():
     samples = measure_quadratures(VACUUM, 50, seed=7)
-    assert [s.angle for s in samples] == list(MEASUREMENT_ANGLES)
-    assert [s.seed for s in samples] == [7, 8, 9]
-    for k, s in enumerate(samples):
+    assert samples.shape == (3, 50)
+    for k, row in enumerate(samples):
         alone = sample_quadrature(VACUUM, MEASUREMENT_ANGLES[k], 50, seed=7 + k)
-        np.testing.assert_array_equal(s.values, alone.values)
+        np.testing.assert_array_equal(row, alone)
 
 
 def test_witness_rejects_non_finite_samples():
     for bad in (np.nan, np.inf):
         samples = measure_quadratures(VACUUM, 10, seed=0)
-        samples[1].values[3] = bad
+        samples[1, 3] = bad
         with pytest.raises(InvalidArgumentError, match="finite"):
             estimate_witness(samples, (0, 0, 1))
 
 
-def test_witness_rejects_missing_angle():
+def test_witness_rejects_samples_not_in_three_rows():
     samples = measure_quadratures(VACUUM, 10, seed=0)
-    samples[2] = sample_quadrature(VACUUM, 0.3, 10, seed=2)
-    with pytest.raises(InvalidArgumentError, match="cover angles"):
-        estimate_witness(samples, (0, 0, 1))
+    for bad in (samples[0], samples[:2], np.vstack((samples, samples[:1]))):
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            estimate_witness(bad, (0, 0, 1))
 
 
 def test_rotated_wavefunction_rejects_non_finite_grid():
@@ -183,18 +195,15 @@ def test_non_finite_state_is_rejected_before_sampling():
 
 def test_witness_rejects_single_sample_sets():
     # one sample has no sample variance, so the standard error would be NaN
-    big = [
-        sample_quadrature(VACUUM, angle, 10, seed=i)
-        for i, angle in enumerate(MEASUREMENT_ANGLES)
-    ]
-    for k in range(3):
-        samples = list(big)
-        samples[k] = sample_quadrature(VACUUM, MEASUREMENT_ANGLES[k], 1, seed=k)
+    samples = measure_quadratures(VACUUM, 10, seed=0)
+    for count in (1, 0):
         with pytest.raises(InvalidArgumentError, match="at least 2 samples"):
-            estimate_witness(samples, (0, 0, 1))
+            estimate_witness(samples[:, :count], (0, 0, 1))
     for count in (1, 0, -3):
         with pytest.raises(InvalidArgumentError, match="at least 2 samples"):
             measure_quadratures(VACUUM, count, seed=0)
+        with pytest.raises(InvalidArgumentError, match="at least 2 samples"):
+            sample_quadrature(VACUUM, 0.0, count, seed=0)
 
 
 def test_error_scaling():
@@ -238,6 +247,6 @@ def test_angle_correctness_across_states():
             hermitize(exp_of_quadrature(1, 0, SQRT_PI, n, max(n, 20))), state
         )
         samples = sample_quadrature(state, 0.0, 200_000, seed=100 + i)
-        vals = np.cos(SQRT_PI * samples.values)
+        vals = np.cos(SQRT_PI * samples)
         stderr = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - matrix_val) < 5 * stderr + 1e-4
