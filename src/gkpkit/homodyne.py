@@ -115,8 +115,11 @@ def sample_quadrature(state, angle, count, seed):
     # cumulative trapezoid, normalized
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * dx * (pdf[1:] + pdf[:-1]))))
     cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    return np.interp(rng.random(count), cdf, grid)
+    uniform = np.random.default_rng(seed).random(count)
+    order = np.argsort(uniform)  # np.interp searches on from its last hit
+    outcomes = np.empty(count)
+    outcomes[order] = np.interp(uniform[order], cdf, grid)
+    return outcomes
 
 
 def measure_quadratures(state, count, seed):

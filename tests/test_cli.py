@@ -495,6 +495,25 @@ def test_cli_import_loads_openblas_with_one_thread(inherited):
     assert environ_kept
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_cli_import_leaves_the_collector_as_found(enabled):
+    # the collector is off while the CLI's imports load, and frozen after them
+    code = (
+        "import gc, json\n"
+        f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+        "import gkpkit.cli\n"
+        "print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    collecting, frozen = json.loads(done.stdout)
+    assert collecting is enabled
+    assert frozen > 0
+
+
 def test_package_import_loads_no_submodule_and_no_numpy():
     code = (
         "import sys, gkpkit; "

@@ -10,6 +10,7 @@ from gkpkit.fock import displacement_matrix, expectation, quadrature_matrix
 from gkpkit.gaussian import (
     GaussianPureParams,
     covariance_from_params,
+    expectation_derivatives,
     gaussian_bound,
     gaussian_expectation,
     minimize,
@@ -158,7 +159,8 @@ def test_non_gaussian_ground_state_beats_bound():
 def test_minimize_converges_on_every_lane():
     # sum_i cosh(y_i), y = (x - c) M, has its one minimum, 4, at x = c, with
     # the non-diagonal Hessian M M^T there: every lane gets there from its
-    # own start, and nfev counts every point evaluated
+    # own start, and nfev counts every point at which the value or the
+    # derivatives were taken
     mix = np.array([[2.0, 1, 0, 0], [0, 1, 0.5, 0], [0, 0, 3, 1], [1, 0, 0, 0.5]])
     rng = np.random.default_rng(2)
     centres = rng.uniform(-1, 1, size=(6, 4))
@@ -168,10 +170,75 @@ def test_minimize_converges_on_every_lane():
         sizes.append(len(points))
         return np.cosh((points - centres[lanes]) @ mix).sum(axis=1)
 
-    result = minimize(objective, centres + rng.uniform(-2, 2, size=(6, 4)))
+    def derivatives(points, lanes):
+        sizes.append(len(points))
+        y = (points - centres[lanes]) @ mix
+        return np.sinh(y) @ mix.T, np.einsum("ik,nk,jk->nij", mix, np.cosh(y), mix)
+
+    result = minimize(objective, derivatives, centres + rng.uniform(-2, 2, size=(6, 4)))
     assert result.nfev == sum(sizes)
     assert np.max(np.abs(result.x - centres)) <= 1e-6
     assert np.max(np.abs(result.fun - 4)) <= 1e-12
+
+
+def _clipped(points):
+    # the search's parametrization: r clipped to [-R_MAX, R_MAX]
+    x0, p0, r, theta = np.asarray(points, dtype=float).T
+    return GaussianPureParams(x0, p0, np.clip(r, -gaussian.R_MAX, gaussian.R_MAX), theta)
+
+
+def test_derivatives_match_central_differences():
+    # random points, and points beyond the clip, where the r-derivatives are 0
+    rng = np.random.default_rng(11)
+    points = rng.uniform((-3, -3, -2, -3), (3, 3, 2, 3), size=(400, 4))
+    points[:40, 2] = rng.choice((-1, 1), 40) * rng.uniform(6.5, 9, 40)
+    u = rng.standard_normal((400, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    grad, hess = expectation_derivatives(_clipped(points), u)
+    h = 1e-5
+    for i in range(4):
+        step = h * np.eye(4)[i]
+        up = gaussian_expectation(_clipped(points + step), u)
+        down = gaussian_expectation(_clipped(points - step), u)
+        assert np.max(np.abs(grad[:, i] - (up - down) / (2 * h))) <= 1e-6
+        differenced = (expectation_derivatives(_clipped(points + step), u)[0]
+                       - expectation_derivatives(_clipped(points - step), u)[0]) / (2 * h)
+        assert np.max(np.abs(hess[:, i] - differenced)) <= 1e-6 * np.max(np.abs(hess))
+    assert np.all(grad[:40, 2] == 0) and np.all(hess[:40, 2] == 0)
+    assert np.all(hess[:40, :, 2] == 0)
+
+
+def test_derivatives_match_mpmath():
+    # an independent oracle: mpmath's numerical derivatives, in 30 digits, of
+    # the clipped objective at points inside the clip and one beyond it
+    import mpmath
+
+    u = [float(w) for w in np.array((0.3, -0.5, 0.8)) / math.sqrt(0.98)]
+
+    def f(x0, p0, r, theta):
+        r = min(max(r, -gaussian.R_MAX), gaussian.R_MAX)
+        c, s = mpmath.cos(theta), mpmath.sin(theta)
+        em, ep = mpmath.exp(-2 * r), mpmath.exp(2 * r)
+        sxx, spp = (em * c**2 + ep * s**2) / 2, (em * s**2 + ep * c**2) / 2
+        sxp = (em - ep) * s * c / 2
+        root = mpmath.sqrt(mpmath.pi)
+        total = 0
+        for var, mean, w in ((sxx, x0, u[2]), (sxx - 2 * sxp + spp, x0 - p0, u[1]),
+                             (spp, p0, u[0])):
+            total += mpmath.exp(-2 * mpmath.pi * var) * mpmath.cos(2 * root * mean) / 3
+            total += w * mpmath.exp(-mpmath.pi * var / 2) * mpmath.cos(root * mean)
+        return 2 - total
+
+    with mpmath.workdps(30):
+        for point in ((0.4, -1.1, 0.7, 0.3), (2.0, 0.5, -1.3, -1.2), (-0.2, 0.9, 7.5, 0.6)):
+            grad, hess = expectation_derivatives(_clipped([point]), np.array(u))
+            for i in range(4):
+                order = np.eye(4, dtype=int)[i]
+                exact = float(mpmath.diff(f, point, tuple(order)))
+                assert abs(grad[0, i] - exact) <= 1e-12
+                for j in range(4):
+                    exact = float(mpmath.diff(f, point, tuple(order + np.eye(4, dtype=int)[j])))
+                    assert abs(hess[0, i, j] - exact) <= 1e-11
 
 
 def _scalar_expectation(vec, u):
@@ -250,34 +317,33 @@ def test_search_converges_from_random_starts_alone():
     high = (2 * SQRT_PI, 2 * SQRT_PI, gaussian.R_MAX, math.pi / 2)
     starts = np.random.default_rng(0).uniform((0, 0, 0, -math.pi / 2), high, (92, 4))
 
-    def objective(points, lanes):
-        x0, p0, r, theta = points.T
-        r = np.clip(r, -gaussian.R_MAX, gaussian.R_MAX)
-        return gaussian_expectation(
-            GaussianPureParams(x0, p0, r, theta), targets[lanes // len(starts)]
-        )
-
-    result = minimize(objective, np.tile(starts, (len(targets), 1)))
+    result = minimize(
+        lambda points, lanes: gaussian_expectation(
+            _clipped(points), targets[lanes // len(starts)]),
+        lambda points, lanes: expectation_derivatives(
+            _clipped(points), targets[lanes // len(starts)]),
+        np.tile(starts, (len(targets), 1)),
+    )
     best = result.fun.reshape(len(targets), -1).min(axis=1)
     assert np.max(np.abs(best - [NM_MIN["0L"], NM_MIN["H"], NM_MIN["T"]])) <= 1e-9
 
 
 def test_hessian_floor_keeps_the_search_short(monkeypatch):
-    # the state targets at budget 200 take 302,280 points; with the
-    # eigenvalue floor dropped, Newton steps climb along negative curvature
-    # and the same minima take about 419,000
+    # the state targets at budget 200 take 60,648 points (value and
+    # derivative points); with the eigenvalue floor dropped, Newton steps
+    # climb along negative curvature and the same minima take 85,640
     nfev = []
     search = gaussian.minimize
 
-    def counted(objective, x0):
-        result = search(objective, x0)
+    def counted(objective, derivatives, x0):
+        result = search(objective, derivatives, x0)
         nfev.append(result.nfev)
         return result
 
     monkeypatch.setattr(gaussian, "minimize", counted)
     targets = np.array([(0, 0, 1.0), (S2, S2, 0), (S3, S3, S3), NM_STATE[0][0]])
     minimize_over_gaussians(targets, budget=200, seed=0)
-    assert nfev[0] <= 330_000
+    assert nfev[0] <= 66_000
 
 
 def test_search_keeps_nelder_mead_minima_of_core_states():
@@ -286,6 +352,18 @@ def test_search_keeps_nelder_mead_minima_of_core_states():
     expected = [_nm_core_minimum(label) for label, _ in states]
     assert np.max(np.abs(values - expected)) <= 1e-9
     assert all(v >= gaussian_bound(u) - 1e-9 for v, (_, u) in zip(values, states))
+
+
+def test_argmin_lies_in_one_period():
+    # lanes at the squeezing clip drift in x0, p0 or theta where their terms
+    # underflow; the reported argmin is the point of the period box that
+    # gives the same value
+    targets = np.array([u for _, u in core_states()])
+    values, params = minimize_over_gaussians(targets, budget=200)
+    for field, low, high in (("x0", 0, 2 * SQRT_PI), ("p0", 0, 2 * SQRT_PI),
+                             ("theta", -math.pi / 2, math.pi / 2)):
+        assert np.all((low <= getattr(params, field)) & (getattr(params, field) < high))
+    assert np.max(np.abs(gaussian_expectation(params, targets) - values)) <= 1e-12
 
 
 @pytest.mark.parametrize("budget", [200, 120, 108])

@@ -115,6 +115,20 @@ def test_sampling_determinism():
     np.testing.assert_array_equal(a, b)
 
 
+def test_sampling_keeps_draw_order():
+    # the lookups run on sorted uniforms; each outcome must still be the one
+    # of its own draw, which the witness (blind to order) cannot check
+    state = np.array([0.6, 0.5j, -0.4, 0.3 + 0.2j, 0.1])
+    state /= np.linalg.norm(state)
+    angle, count, seed = 0.7, 5000, 9
+    grid = default_grid(state)
+    pdf = np.abs(rotated_wavefunction(state, angle, grid)) ** 2
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(grid) * (pdf[1:] + pdf[:-1]))))
+    cdf /= cdf[-1]
+    expected = np.interp(np.random.default_rng(seed).random(count), cdf, grid)
+    np.testing.assert_array_equal(sample_quadrature(state, angle, count, seed), expected)
+
+
 def test_witness_vacuum_oracle():
     ref = 2 - (
         (2 * math.exp(-math.pi) + math.exp(-2 * math.pi)) / 3 + math.exp(-math.pi / 4)
