@@ -258,10 +258,7 @@ def cmd_bound(args):
         analytic = gaussian.gaussian_bound(u)
         gap = numeric[i] - analytic
         worst = max(worst, abs(gap))
-        rows.append(
-            (label, *u, analytic, numeric[i], gap, argmin.x0[i], argmin.p0[i],
-             argmin.r[i], argmin.theta[i])
-        )
+        rows.append((label, *u, analytic, numeric[i], gap, *argmin[i]))
     io_utils.write_csv(
         os.path.join(out, "bound.csv"),
         ("label", "ux", "uy", "uz", "analytic_bound", "numeric_min", "gap",

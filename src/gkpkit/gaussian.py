@@ -1,8 +1,8 @@
 """Closed-form Gaussian expectation values of O_GKP and the 5/3 - ||u||_inf bound.
 
-A pure single-mode Gaussian state is parametrized by displacements
-(x0, p0), squeezing magnitude r and squeezing angle theta; its covariance
-matrix then satisfies the purity condition sxx*spp - sxp^2 = 1/4.
+A pure single-mode Gaussian state is one row (x0, p0, r, theta): its
+displacements, squeezing magnitude and squeezing angle. Arrays of shape
+(..., 4) hold one state per row.
 """
 
 import math
@@ -19,76 +19,66 @@ from .operators import SQRT_PI, check_unit
 R_MAX = 6.0
 
 
-@dataclass(frozen=True)
-class GaussianPureParams:
-    """Displacements, squeezing magnitude and angle: floats, or arrays of one
-    shape holding one Gaussian state per entry."""
-
-    x0: float
-    p0: float
-    r: float
-    theta: float
-
-
-def covariance_from_params(g):
-    """Covariance entries (sxx, sxp, spp) of the pure Gaussian state."""
-    e_minus = np.exp(-2 * g.r)
-    e_plus = 1 / e_minus
-    cos, sin = np.cos(g.theta), np.sin(g.theta)
-    cos2, sin2 = cos**2, sin**2
-    sxx = 0.5 * (e_minus * cos2 + e_plus * sin2)
-    sxp = 0.5 * (e_minus - e_plus) * sin * cos
-    spp = 0.5 * (e_minus * sin2 + e_plus * cos2)
-    return sxx, sxp, spp
+def quadratures(points):
+    """Means and variances, each (..., 3), of the quadratures (x, x - p, p) of
+    the Gaussians with rows (x0, p0, r, theta), and the pieces (m e^(-2r),
+    m e^(2r), cos psi, sin psi) of the variances m (e^(-2r) cos^2 psi +
+    e^(2r) sin^2 psi), where m = (1/2, 1, 1/2) and psi = theta + (0, pi/4,
+    pi/2). A sum of two non-negative terms, a variance cancels nowhere, also
+    where it is squeezed to the R_MAX clip.
+    """
+    x0, p0, r, theta = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    m, squeeze = np.array((0.5, 1, 0.5)), np.exp(-2 * r)[..., None]
+    psi = np.add.outer(theta, (0, math.pi / 4, math.pi / 2))
+    low, high, cos, sin = m * squeeze, m / squeeze, np.cos(psi), np.sin(psi)
+    var = low * cos**2 + high * sin**2
+    return np.stack((x0, x0 - p0, p0), axis=-1), var, (low, high, cos, sin)
 
 
-def gaussian_expectation(g, u):
-    """<O_GKP(u)> = 2 - R on the pure Gaussian state g, for one Bloch vector u,
-    checked here, or an already-checked (..., 3) stack that broadcasts against
-    the fields of g. Quadrature q in (x, x - p, p), with variance v and mean a,
-    adds w_q e^(-pi v / 2) cos(sqrt(pi) a) + e^(-2 pi v) cos(2 sqrt(pi) a) / 3
-    to R, where w = (u_z, u_y, u_x).
+def gaussian_expectation(points, u):
+    """<O_GKP(u)> = 2 - R on the pure Gaussians with rows (x0, p0, r, theta),
+    for one Bloch vector u, checked here, or an already-checked (..., 3) stack
+    that broadcasts against the rows. Quadrature q in (x, x - p, p), with
+    variance v and mean a, adds w_q e^(-pi v / 2) cos(sqrt(pi) a) +
+    e^(-2 pi v) cos(2 sqrt(pi) a) / 3 to R, where w = (u_z, u_y, u_x).
     """
     u = np.asarray(u, dtype=float)
     if u.ndim < 2:
         u = check_unit(u)
-    sxx, sxp, spp = covariance_from_params(g)
-    damp = np.exp(-0.5 * math.pi * np.stack((sxx, sxx - 2 * sxp + spp, spp), axis=-1))
-    wave = np.cos(SQRT_PI * np.stack((g.x0, g.x0 - g.p0, g.p0), axis=-1))
+    mean, var, _ = quadratures(points)
+    damp, wave = np.exp(-0.5 * math.pi * var), np.cos(SQRT_PI * mean)
     terms = u[..., ::-1] * damp * wave + (damp**2) ** 2 * (2 * wave**2 - 1) / 3
     return 2.0 - terms.sum(axis=-1)
 
 
-def expectation_derivatives(g, u):
+def expectation_derivatives(points, u):
     """Gradient (..., 4) and Hessian (..., 4, 4) of gaussian_expectation in
     (x0, p0, r, theta), for an already-checked u.
 
     Each term of R is Re(a e^z), z = -lam v + i mu mean: its gradient is
-    Re(a e^z z'), its Hessian Re(a e^z (z' z'^T + z'')). The variances are
-    m (c + s phi), m = (1/2, 1, 1/2), c = cosh 2r, s = sinh 2r, phi =
-    -cos(2 theta + (0, pi/2, pi)); r-derivatives are 0 where |r| >= R_MAX.
-    This form cancels at the clip, so the values keep covariance_from_params.
+    Re(a e^z z'), its Hessian Re(a e^z (z' z'^T + z'')). With the pieces of
+    quadratures, dv/dr = 2 m (e^(2r) sin^2 psi - e^(-2r) cos^2 psi) and
+    dv/dtheta = m (e^(2r) - e^(-2r)) sin 2 psi; r-derivatives are 0 where
+    |r| >= R_MAX.
     """
-    c, s = np.cosh(2 * g.r)[..., None], np.sinh(2 * g.r)[..., None]
-    angle = np.add.outer(2 * g.theta, (0, math.pi / 2, math.pi))
-    phi, dphi = -np.cos(angle), 2 * np.sin(angle)
-    free, m = np.abs(g.r)[..., None] < R_MAX, np.array((0.5, 1, 0.5))
-    var, phase = m * (c + s * phi), SQRT_PI * np.stack((g.x0, g.x0 - g.p0, g.p0), axis=-1)
-    damp = np.exp(-0.5 * math.pi * var)
+    mean, var, (low, high, cos, sin) = quadratures(points)
+    free = np.abs(np.asarray(points)[..., 2:3]) < R_MAX
+    damp, sin2 = np.exp(-0.5 * math.pi * var), 2 * sin * cos
     # gradients of the means and the variances in (x0, p0, r, theta)
     means = np.array(((1.0, 0, 0, 0), (1, -1, 0, 0), (0, 1, 0, 0)))
     dv = np.zeros(var.shape + (4,))
-    dv[..., 2], dv[..., 3] = 2 * m * (s + c * phi) * free, m * s * dphi
+    dv[..., 2] = 2 * (high * sin**2 - low * cos**2) * free
+    dv[..., 3] = (high - low) * sin2
     # a e^z per quadrature and term, (..., 3, 2): single and double terms
     lam, mu = np.array((0.5, 2)) * math.pi, np.array((1, 2)) * SQRT_PI
-    e = np.stack((u[..., ::-1] * damp * np.exp(1j * phase),
-                  (damp**2) ** 2 / 3 * np.exp(2j * phase)), axis=-1)
+    e = np.stack((u[..., ::-1] * damp * np.exp(1j * SQRT_PI * mean),
+                  (damp**2) ** 2 / 3 * np.exp(2j * SQRT_PI * mean)), axis=-1)
     re, cross = e.real, (e.imag @ (lam * mu))[..., None]
     grad = ((re @ lam)[..., None] * dv + (e.imag @ mu)[..., None] * means).sum(axis=-2)
     hess = -np.swapaxes(dv, -1, -2) @ ((re @ lam**2)[..., None] * dv + cross * means)
     hess -= means.T @ (cross * dv - (re @ mu**2)[..., None] * means)
-    mixed = 2 * m * c * dphi * free  # then each variance's own Hessian
-    curv = np.array(((4 * var * free, mixed), (mixed, -4 * m * s * phi)))
+    mixed = 2 * (high + low) * sin2 * free  # then each variance's own Hessian
+    curv = np.array(((4 * var * free, mixed), (mixed, 2 * (high - low) * (cos**2 - sin**2))))
     hess[..., 2:, 2:] += np.einsum("...k,ij...k->...ij", re @ lam, curv)
     return grad, hess
 
@@ -185,11 +175,12 @@ def minimize_over_gaussians(targets, budget, seed=0):
 
     The starts, the 108 points of _start_grid() and budget - 108 seeded
     draws, are each one lane per target of a single batched `minimize`.
-    The squeezing magnitude is clipped to [-R_MAX, R_MAX] inside the
-    objective, standing in for the infinite-squeezing limit. Returns, per
-    target, the lowest value any start reached (ties go to the lowest start)
-    with its parameters, x0, p0 in [0, 2 sqrt(pi)) and theta in [-pi/2, pi/2):
-    a (T,) array and GaussianPureParams whose fields have shape (T,).
+    The squeezing magnitude is clipped to [-R_MAX, R_MAX] wherever the
+    objective or its derivatives are taken, standing in for the
+    infinite-squeezing limit. Returns, per target, the lowest value any start
+    reached (ties go to the lowest start) with its row (x0, p0, r, theta),
+    x0, p0 in [0, 2 sqrt(pi)) and theta in [-pi/2, pi/2): a (T,) array and a
+    (T, 4) array.
     """
     targets = np.array([check_unit(t) for t in targets])
     grid = _start_grid()
@@ -199,23 +190,20 @@ def minimize_over_gaussians(targets, budget, seed=0):
     rng = np.random.default_rng(seed)
     drawn = rng.uniform(low, high, size=(budget - len(grid), 4))
     starts = np.concatenate((grid, drawn))
-
-    def params(points):
-        x0, p0, r, theta = points.T
-        return GaussianPureParams(x0, p0, np.clip(r, -R_MAX, R_MAX), theta)
-
     u_of_lane = np.repeat(targets, budget, axis=0)
-    result = minimize(
-        lambda points, lanes: gaussian_expectation(params(points), u_of_lane[lanes]),
-        lambda points, lanes: expectation_derivatives(params(points), u_of_lane[lanes]),
-        np.tile(starts, (len(targets), 1)),
-    )
+    reach = np.array((np.inf, np.inf, R_MAX, np.inf))
+
+    def clipped(f):
+        return lambda points, lanes: f(np.clip(points, -reach, reach), u_of_lane[lanes])
+
+    result = minimize(clipped(gaussian_expectation), clipped(expectation_derivatives),
+                      np.tile(starts, (len(targets), 1)))
     best = np.argmin(result.fun.reshape(-1, budget), axis=1)
     best += budget * np.arange(len(targets))
     # periods 2 sqrt(pi) in x0 and p0 and pi in theta: the argmin goes back to
     # the box of the draws, however far a lane drifted where terms underflow
-    x, box = result.x[best], [0, 1, 3]
+    x, box = np.clip(result.x[best], -reach, reach), [0, 1, 3]
     width = np.subtract(high, low)[box]
     reduced = np.mod(x[:, box] - np.take(low, box), width)
     x[:, box] = np.take(low, box) + np.where(reduced < width, reduced, 0)
-    return result.fun[best], params(x)
+    return result.fun[best], x

@@ -16,6 +16,7 @@ from gkpkit.analysis import ExtrapolationResult
 from gkpkit.bloch import core_states
 from gkpkit.cli import load_sweep, main, parse_bloch, parse_cutoffs, parse_grid
 from gkpkit.errors import InvalidArgumentError
+from gkpkit.gaussian import gaussian_expectation
 from gkpkit.io_utils import read_csv
 
 
@@ -336,6 +337,19 @@ def test_bound_command(tmp_path):
     gaps = [float(r[header.index("gap")]) for r in rows]
     assert max(abs(g) for g in gaps) < 1e-3
     assert min(gaps) > -1e-9
+
+
+def test_bound_columns_hold_the_argmin(tmp_path):
+    # x0, p0, r, theta of each row are the point whose value is numeric_min
+    out = tmp_path / "b"
+    assert main(["bound", "--u", "core", "--budget", "108", "--out", str(out)]) == 0
+    _, header, rows = read_csv(out / "bound.csv")
+    for row in rows:
+        field = dict(zip(header, row))
+        u = [float(field[name]) for name in ("ux", "uy", "uz")]
+        point = [float(field[name]) for name in ("x0", "p0", "r", "theta")]
+        value = gaussian_expectation(point, u)
+        assert abs(value - float(field["numeric_min"])) <= 1e-12
 
 
 def test_measure_command(tmp_path):
