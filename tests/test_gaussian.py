@@ -351,9 +351,9 @@ def test_search_converges_from_random_starts_alone():
 
 
 def test_hessian_floor_keeps_the_search_short(monkeypatch):
-    # the state targets at budget 200 take 60,648 points (value and
+    # the state targets at budget 200 take 60,680 points (value and
     # derivative points); with the eigenvalue floor dropped, Newton steps
-    # climb along negative curvature and the same minima take 85,640
+    # climb along negative curvature and the same minima take 85,832
     nfev = []
     search = gaussian.minimize
 
