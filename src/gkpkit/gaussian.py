@@ -29,8 +29,11 @@ def quadratures(points):
     """
     x0, p0, r, theta = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
     m, squeeze = np.array((0.5, 1, 0.5)), np.exp(-2 * r)[..., None]
-    psi = np.add.outer(theta, (0, math.pi / 4, math.pi / 2))
-    low, high, cos, sin = m * squeeze, m / squeeze, np.cos(psi), np.sin(psi)
+    c, s = np.cos(theta), np.sin(theta)
+    # psi's fixed offsets: cos and sin of theta + pi/4 and theta + pi/2 from c, s
+    cos = np.stack((c, (c - s) * math.sqrt(0.5), -s), axis=-1)
+    sin = np.stack((s, (c + s) * math.sqrt(0.5), c), axis=-1)
+    low, high = m * squeeze, m / squeeze
     var = low * cos**2 + high * sin**2
     return np.stack((x0, x0 - p0, p0), axis=-1), var, (low, high, cos, sin)
 

@@ -49,9 +49,10 @@ def test_covariance_vacuum():
 
 
 def test_covariance_squeezed():
-    # no x-p correlation: Var(x - p) = Var x + Var p
+    # no x-p correlation: Var(x - p) = Var x + Var p, so 2 sxp = 0 to 2e-15
     _, var, _ = quadratures((0, 0, 1.0, 0.0))
     assert var == pytest.approx((math.exp(-2) / 2, math.cosh(2), math.exp(2) / 2))
+    assert abs(var[0] + var[2] - var[1]) <= 2e-15
 
 
 def test_variance_x_minus_p_minimized_at_diagonal_angle():
@@ -351,9 +352,9 @@ def test_search_converges_from_random_starts_alone():
 
 
 def test_hessian_floor_keeps_the_search_short(monkeypatch):
-    # the state targets at budget 200 take 60,680 points (value and
+    # the state targets at budget 200 take 60,472 points (value and
     # derivative points); with the eigenvalue floor dropped, Newton steps
-    # climb along negative curvature and the same minima take 85,832
+    # climb along negative curvature and the same minima take 85,992
     nfev = []
     search = gaussian.minimize
 
