@@ -46,6 +46,7 @@ def test_covariance_vacuum():
     for theta in (0.0, 0.7, -1.2):
         _, var, _ = quadratures((0, 0, 0, theta))
         assert var == pytest.approx((0.5, 1.0, 0.5), abs=1e-15)
+        assert abs(var[0] + var[2] - var[1]) <= 2e-15  # 2 sxp
 
 
 def test_covariance_squeezed():
